@@ -41,11 +41,10 @@ from .fixpoint import (
     seeded_fixed_point,
 )
 from .golden import make_M, word_fixed_point
-from .series import l1_norm
+from .series import DEFAULT_TRUNCATION, l1_norm
 from .singular import SingularTerm, eval_singular, log_term, pole_term
 
 DEFAULT_MU = 0.999
-DEFAULT_TRUNCATION = 128
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import NonSimpleConfigurationError, PreconditionError
-from .series import DEFAULT_TRUNCATION, DiscSeries, compose_affine, linear_combine
+from .series import DEFAULT_TRUNCATION, DiscSeries, linear_combine
 from .singular import (
     SingularFunction,
     SingularTerm,
@@ -56,10 +56,6 @@ class AffineMap:
 
     def __call__(self, z: complex) -> complex:
         return self.s * complex(z) + self.t
-
-
-def affine_map(s: complex, z_fix: complex) -> AffineMap:
-    return AffineMap(s, z_fix)
 
 
 def map_from_shift(s: complex, t: complex) -> AffineMap:
@@ -110,8 +106,49 @@ def make_cso(terms: Iterable[tuple[complex, AffineMap]]) -> AffineCso:
     return AffineCso(tuple(terms))
 
 
-def apply_series(T: AffineCso, f: DiscSeries, out_radius: float) -> DiscSeries:
-    return linear_combine([(a, compose_affine(f, m, out_radius)) for a, m in T.terms])
+def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
+    """n x n upper-triangular matrix of T on 1, z, ..., z^{n-1}: column k
+    holds the coefficients of T z^k = sum_i a_i (s_i z + t_i)^k.
+
+    Built column by column with the binomial recurrence
+    (s z + t)^{k+1} = (s z + t)^k * (s z + t), stacked over the terms.
+    """
+    if n < 1:
+        raise PreconditionError("matrix size must be >= 1")
+    s = np.array([m.s for m in T.maps], dtype=complex)[:, None]
+    t = np.array([m.t for m in T.maps], dtype=complex)[:, None]
+    rows = np.zeros((T.ell, n), dtype=complex)  # row i: a_i (s_i z + t_i)^k
+    rows[:, 0] = T.coefficients
+    A = np.zeros((n, n), dtype=complex)
+    A[0, 0] = rows[:, 0].sum()
+    for k in range(1, n):
+        rows[:, 1 : k + 1] = t * rows[:, 1 : k + 1] + s * rows[:, :k]
+        rows[:, 0] *= t[:, 0]
+        A[: k + 1, k] = rows[:, : k + 1].sum(axis=0)
+    return A
+
+
+def apply_series(T: AffineCso, f: DiscSeries, out_radius: float,
+                 matrix: Optional[np.ndarray] = None) -> DiscSeries:
+    """T f on D_{out_radius}: one product with operator_matrix(T, len(f.coeffs)),
+    which a caller applying T repeatedly to series of one length passes in.
+
+    Requires every image disc strictly inside the domain disc,
+    |s_i| * out_radius + |t_i| < f.radius.  Then no composition increases the
+    l1 norm, so sum_i |a_i| * f.tail_bound bounds the discarded tail.
+    """
+    out_radius = float(out_radius)
+    if out_radius <= 0.0:
+        raise PreconditionError("out_radius must be positive")
+    for m in T.maps:
+        reach = abs(m.s) * out_radius + abs(m.t)
+        if reach >= f.radius:
+            raise PreconditionError(
+                f"image disc escapes domain: |s|*r+|t| = {reach:.6g} >= {f.radius:.6g}")
+    if matrix is None:
+        matrix = operator_matrix(T, len(f.coeffs))
+    tail = sum(abs(a) * f.tail_bound for a in T.coefficients)
+    return DiscSeries(out_radius, matrix @ f.coeffs, tail)
 
 
 def apply_singular(
@@ -138,9 +175,7 @@ def apply_singular(
             raise NonSimpleConfigurationError(
                 f"singular set not simple under operator: {bad[0].reason}")
     weighted: list[tuple[complex, SingularTerm]] = []
-    regular_parts: list[tuple[complex, DiscSeries]] = [
-        (a, compose_affine(f.regular, m, R)) for a, m in T.terms
-    ]
+    regular_parts = [(1.0, apply_series(T, f.regular, R))]
     for a, m in T.terms:
         for term in f.terms:
             pb = pullback_term(term, m, R, on_interior=on_interior,
@@ -176,25 +211,10 @@ def analytic_ratio_bound(T: AffineCso, n: int, R: float) -> float:
 
 
 def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
-    """||T z^n||_R / R^n for n = 0..n_max, via the binomial recurrence on the
-    coefficient rows of (s z + t)^n.  Matches basis_image_norm pointwise."""
-    rows = [np.array([a], dtype=complex) for a, _ in T.terms]
+    """||T z^n||_R / R^n for n = 0..n_max: the R-weighted column l1 norms of
+    operator_matrix.  Matches basis_image_norm pointwise."""
     rpow = R ** np.arange(n_max + 1)
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        total = np.zeros(n + 1, dtype=complex)
-        for row in rows:
-            total += row
-        out[n] = float(np.abs(total) @ rpow[:n + 1]) / rpow[n]
-        if n == n_max:
-            break
-        for idx, (_, m) in enumerate(T.terms):
-            row = rows[idx]
-            grown = np.zeros(n + 2, dtype=complex)
-            grown[:n + 1] = m.t * row
-            grown[1:] += m.s * row
-            rows[idx] = grown
-    return out
+    return rpow @ np.abs(operator_matrix(T, n_max + 1)) / rpow
 
 
 @lru_cache(maxsize=256)
@@ -289,12 +309,7 @@ def poly_fp_degrees(T: AffineCso, m_max: int, tol: float = REL_TOL) -> PolyDegre
 
 def monomial_matrix(T: AffineCso, m: int) -> np.ndarray:
     """(m+1)x(m+1) upper-triangular matrix of T on 1, z, ..., z^m."""
-    A = np.zeros((m + 1, m + 1), dtype=complex)
-    for n in range(m + 1):
-        for r in range(n + 1):
-            c = math.comb(n, r)
-            A[r, n] = sum(a * c * mp.s ** r * mp.t ** (n - r) for a, mp in T.terms)
-    return A
+    return operator_matrix(T, m + 1)
 
 
 def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.ndarray]:
@@ -312,7 +327,9 @@ def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.
     for k in range(m, -1, -1):
         if sv[k] <= cut:
             v = vh[k].conj()
-            lead = np.max(np.nonzero(np.abs(v) > 1e-14)[0])
+            # SVD rounding leaves entries of order eps * sv[0] above the true
+            # degree, so the leading entry is judged relative to the vector
+            lead = np.max(np.nonzero(np.abs(v) > 1e-9 * np.abs(v).max())[0])
             basis.append(v / v[lead])
         else:
             break

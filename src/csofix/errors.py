@@ -17,9 +17,5 @@ class NonSimpleConfigurationError(PreconditionError):
     """A singularity lands inside an image disc without being a fixed point."""
 
 
-class RegularityError(PreconditionError):
-    """A remainder that must lie in the regular space G_R does not."""
-
-
 class ConvergenceError(RuntimeError):
     """An iteration failed to reach the requested tolerance."""

@@ -28,6 +28,7 @@ from .cso import (
     fixed_point_independence,
     induced_m,
     monomial_matrix,
+    operator_matrix,
     poly_fp_degrees,
     seed_admissibility,
 )
@@ -105,6 +106,7 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
     if not K < 1.0:
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
     stop = tol * (1.0 - K)
+    A = operator_matrix(T, g.coeffs.size)
     term = DiscSeries(R, g.coeffs, g.tail_bound)
     total_coeffs = np.zeros(1, dtype=complex)
     total_tail = 0.0
@@ -117,8 +119,7 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
         total_coeffs[:term.coeffs.size] += term.coeffs
         total_tail += term.tail_bound
         slack = K * term.tail_bound
-        term = apply_series(T, DiscSeries(R, term.coeffs, 0.0), R)
-        term = DiscSeries(R, term.coeffs, slack)
+        term = DiscSeries(R, apply_series(T, term, R, A).coeffs, slack)
     raise ConvergenceError(
         f"Neumann series did not reach {tol} in {max_iter} iterations "
         f"(rate {K:.6f}, last increment {l1_norm(term):.3e})")

@@ -131,35 +131,17 @@ def linear_combine(pairs: Iterable[tuple[complex, DiscSeries]]) -> DiscSeries:
 
 
 def compose_affine(f: DiscSeries, map: "AffineMap", out_radius: float) -> DiscSeries:
-    """Coefficients of f(s z + t) about 0, on D_{out_radius}.
+    """Coefficients of f(s z + t) about 0, on D_{out_radius}: the one-term
+    operator f -> f(map(z)) through cso.apply_series.
 
     Requires the image disc strictly inside the domain disc:
     |s| * out_radius + |t| < f.radius.  Under that condition the l1 norm of
     the (polynomial) composition does not exceed the input norm, so the input
     tail_bound remains a valid bound for the composed discarded tail.
     """
-    s, t = complex(map.s), complex(map.t)
-    out_radius = float(out_radius)
-    if out_radius <= 0.0:
-        raise PreconditionError("out_radius must be positive")
-    if abs(s) * out_radius + abs(t) >= f.radius:
-        raise PreconditionError(
-            f"image disc escapes domain: |s|*r+|t| = {abs(s) * out_radius + abs(t):.6g}"
-            f" >= {f.radius:.6g}")
-    # Horner in polynomial arithmetic: p <- p*(s z + t) + c_k, exact in degree.
-    c = f.coeffs
-    n = len(c)
-    acc = np.zeros(n, dtype=complex)
-    acc[0] = c[-1]
-    deg = 0
-    for k in range(n - 2, -1, -1):
-        shifted = np.zeros(n, dtype=complex)
-        shifted[1 : deg + 2] = s * acc[: deg + 1]
-        shifted[: deg + 1] += t * acc[: deg + 1]
-        shifted[0] += c[k]
-        acc = shifted
-        deg += 1
-    return DiscSeries(out_radius, acc, f.tail_bound)
+    from .cso import AffineCso, apply_series  # cso builds on this module
+
+    return apply_series(AffineCso(((1.0, map),)), f, out_radius)
 
 
 def differentiate(f: DiscSeries, margin: float | None = None) -> DiscSeries:

@@ -22,6 +22,7 @@ from csofix.cso import (
     make_cso,
     map_from_shift,
     monomial_matrix,
+    operator_matrix,
     pinned,
     poly_fixed_points,
     poly_fp_degrees,
@@ -29,7 +30,14 @@ from csofix.cso import (
     seed_admissibility,
     simplicity_check,
 )
-from csofix.series import eval_at, l1_norm, make_series, monomial, zero_series
+from csofix.series import (
+    eval_at,
+    l1_norm,
+    make_series,
+    monomial,
+    with_tail,
+    zero_series,
+)
 from csofix.singular import eval_singular, log_term, make_singular, pole_term
 
 W = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,6 +97,58 @@ def test_apply_series_is_linear(rng):
         rhs = linear_combine([(lam, apply_series(T, f, 2.0)),
                               (1.0, apply_series(T, g, 2.0))])
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+def random_operator(rng, ell: int, fix_radius: float = 0.4):
+    """Complex coefficients and rates, with one constant map (s = 0) and one
+    map fixing 0 (t = 0).  Rates and fixed points within 0.4 keep every
+    image of D_1 inside D_1."""
+    terms = [(rand_disc(rng, 2.0), AffineMap(0.0, rand_disc(rng, fix_radius))),
+             (rand_disc(rng, 2.0), AffineMap(rand_disc(rng, 0.4), 0.0))]
+    terms += [(rand_disc(rng, 2.0),
+               AffineMap(rand_disc(rng, 0.4), rand_disc(rng, fix_radius)))
+              for _ in range(ell - 2)]
+    return make_cso(terms)
+
+
+def comb_column(T, k: int) -> list[complex]:
+    """Coefficients of T z^k = sum_i a_i (s_i z + t_i)^k, term by term."""
+    return [sum(a * math.comb(k, r) * m.s ** r * m.t ** (k - r) for a, m in T.terms)
+            for r in range(k + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256])
+def test_operator_matrix_matches_binomial_sums(rng, n):
+    for ell in (2, 3, 5):
+        T = random_operator(rng, ell, fix_radius=1.5)
+        A = operator_matrix(T, n)
+        assert A.shape == (n, n)
+        assert np.array_equal(A, np.triu(A))
+        for k in range(n):
+            ref = np.array(comb_column(T, k))
+            assert np.max(np.abs(A[: k + 1, k] - ref)) <= 1e-12 * np.sum(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256])
+def test_apply_series_evaluates_sum_of_compositions(rng, n):
+    T = random_operator(rng, 4)
+    f = with_tail(random_poly(rng, 1.0, n - 1), 3e-7)
+    out = apply_series(T, f, 1.0)
+    assert out.radius == 1.0 and len(out.coeffs) == n
+    assert out.tail_bound == sum(abs(a) * f.tail_bound for a in T.coefficients)
+    for _ in range(5):
+        z = rand_disc(rng, 0.9)
+        direct = sum(a * eval_at(f, m(z)) for a, m in T.terms)
+        assert abs(eval_at(out, z) - direct) < 1e-12 * l1_norm(f) * sum(
+            abs(a) for a in T.coefficients)
+
+
+def test_apply_rejects_escaping_image():
+    T = golden_op()  # |w^2| r + w >= r for r <= 1
+    with pytest.raises(PreconditionError, match="image disc escapes domain"):
+        apply_series(T, monomial(3, 0.9), 0.9)
+    with pytest.raises(PreconditionError, match="image disc escapes domain"):
+        apply_singular(T, make_singular([], monomial(3, 0.9)))
 
 
 def test_basis_image_norm_golden_values():
@@ -203,6 +263,30 @@ def test_poly_fixed_points_kernel():
     assert len(basis) == 1
     assert np.max(np.abs(A @ basis[0])) < 1e-12
     assert poly_fixed_points(golden_op(), 10) == []
+
+
+# Planted degree-5 fixed point with |a_1| = 21.7 at depth 80: SVD rounding
+# leaves null-vector entries near 1e-15 above degree 5, which an absolute
+# leading-entry threshold of 1e-14 once took for the leading coefficient.
+POLYFIX_PLANTED = [
+    (complex(16.577256517294863, 14.017206890623617),
+     complex(0.0934274538007001, -0.5322063888132952),
+     complex(-0.07344794102860074, -0.14867960263964913)),
+    (complex(-0.5640966205826594, 0.5343324223547068),
+     complex(0.07615460460528946, 0.06243899777902309),
+     complex(-0.43105837136023833, -0.688203498011716)),
+]
+
+
+def test_poly_fixed_points_planted_large_coefficient():
+    T = make_cso([(a, AffineMap(s, fix)) for a, s, fix in POLYFIX_PLANTED])
+    assert poly_fp_degrees(T, 80).degrees == (5,)
+    basis = poly_fixed_points(T, 80)
+    assert len(basis) == 1
+    A = np.eye(81, dtype=complex) - monomial_matrix(T, 80)
+    assert np.max(np.abs(A @ basis[0])) < 1e-10
+    assert abs(basis[0][5] - 1.0) < 1e-15
+    assert np.max(np.abs(basis[0][6:])) < 1e-9
 
 
 def test_monomial_matrix_matches_apply(rng):

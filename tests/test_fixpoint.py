@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import rand_disc, random_poly, random_tame_cso
-from csofix.cso import AffineMap, apply_series, apply_singular, make_cso, pinned
+from csofix import cso, fixpoint
+from csofix.cso import (
+    AffineMap,
+    apply_series,
+    apply_singular,
+    certified_contraction_rate,
+    make_cso,
+    pinned,
+)
 from csofix.errors import AdmissibilityError, ConvergenceError, PreconditionError
 from csofix.fixpoint import (
     DIRECT,
@@ -56,6 +64,28 @@ def test_neumann_geometric_example():
     h = neumann_inverse(T, monomial(0, 1.0), 1.0, 1e-12)
     assert abs(h.coeffs[0] - 2.0) < 1e-11
     assert np.all(np.abs(h.coeffs[1:]) == 0.0)
+
+
+def test_neumann_builds_operator_matrix_once(monkeypatch, rng):
+    Mc = pinned(make_M(), W)
+    # cache the certified rate first: its basis scan builds a matrix too
+    certified_contraction_rate(Mc, 2.0)
+    builds, applications = [], []
+
+    def counting(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counting(cso.operator_matrix, builds)
+    monkeypatch.setattr(cso, "operator_matrix", build)
+    monkeypatch.setattr(fixpoint, "operator_matrix", build)
+    monkeypatch.setattr(fixpoint, "apply_series",
+                        counting(cso.apply_series, applications))
+    neumann_inverse(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10)
+    assert len(applications) > 10
+    assert len(builds) == 1
 
 
 def test_neumann_solves_to_tolerance(rng):

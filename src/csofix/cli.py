@@ -312,21 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="composition-sum operator toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, config=True):
+    def common(sp, config=True, radius=False, tol=False):
+        """--out on every subcommand; --config, --radius and --tol only on
+        those that read them."""
         if config:
             sp.add_argument("--config", required=True, help="operator JSON file")
-        sp.add_argument("--radius", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=1e-8)
+        if radius:
+            sp.add_argument("--radius", type=float, default=None)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--out", default=None, help="write the report here too")
-        sp.add_argument("--parallel", action="store_true")
 
     d = sub.add_parser("diagnose", help="contraction and structure report")
-    common(d)
+    common(d, radius=True)
     d.add_argument("--pin", nargs=2, type=float, default=None,
                    metavar=("RE", "IM"), help="diagnose the pinned operator")
 
     f = sub.add_parser("fixpoint", help="construct a seeded fixed point")
-    common(f)
+    common(f, radius=True, tol=True)
     f.add_argument("--pin", nargs=2, type=float, default=None,
                    metavar=("RE", "IM"))
     f.add_argument("--seed-kind", choices=("log", "pole"), default="log")
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("golden", help="golden-mean case study")
     gsub = g.add_subparsers(dest="gcmd", required=True)
     gfp = gsub.add_parser("fp", help="engine vs word-expansion oracle")
-    common(gfp, config=False)
+    common(gfp, config=False, tol=True)
     gfp.add_argument("--depth", type=int, default=golden.DEFAULT_DEPTH)
     gid = gsub.add_parser("identity", help="partial products of the 1+w identity")
     common(gid, config=False)
@@ -348,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     gfig = gsub.add_parser("figure", help="figure CSV over the default grid")
     common(gfig, config=False)
     gfig.add_argument("--depth", type=int, default=golden.DEFAULT_DEPTH)
+    gfig.add_argument("--parallel", action="store_true")
     gsfs = gsub.add_parser("sfs", help="zero-shear spectrum example")
     common(gsfs, config=False)
     gsfs.add_argument("--depth", type=int, default=3,
@@ -377,10 +381,12 @@ def _dispatch(args, argv: Sequence[str]) -> tuple[dict, Optional[str]]:
         else:
             outputs = run_polyfix(cfg, args.depth)
         return _report(argv, digest, outputs, started), args.out
-    # golden family: no config file; digest the effective parameters
-    digest = _digest(json.dumps(
-        {"cmd": args.gcmd, "depth": args.depth, "tol": args.tol},
-        sort_keys=True).encode())
+    # golden family: no config file; digest the parameters the subcommand
+    # reads (--parallel changes how figure computes, not what)
+    params = {"cmd": args.gcmd, "depth": args.depth}
+    if args.gcmd == "fp":
+        params["tol"] = args.tol
+    digest = _digest(json.dumps(params, sort_keys=True).encode())
     if args.gcmd == "fp":
         outputs = run_golden_fp(args.depth, args.tol)
         return _report(argv, digest, outputs, started), args.out

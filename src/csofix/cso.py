@@ -128,27 +128,45 @@ def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
     return A
 
 
+def operator_block(T: AffineCso, matrix: Optional[np.ndarray], n: int) -> np.ndarray:
+    """operator_matrix(T, n): the leading n x n block of `matrix`, a larger
+    operator_matrix of T, when one is given, else a fresh build.  The block
+    is exact, because column k of the recurrence never reads past column k."""
+    if matrix is None:
+        return operator_matrix(T, n)
+    if matrix.shape[0] < n:
+        raise PreconditionError(
+            f"operator matrix of size {matrix.shape[0]} is smaller than the series ({n})")
+    return matrix[:n, :n]
+
+
+def check_image_discs(T: AffineCso, out_radius: float, radius: float) -> None:
+    """Require every image disc strictly inside the domain disc,
+    |s_i| * out_radius + |t_i| < radius."""
+    for m in T.maps:
+        reach = abs(m.s) * out_radius + abs(m.t)
+        if reach >= radius:
+            raise PreconditionError(
+                f"image disc escapes domain: |s|*r+|t| = {reach:.6g} >= {radius:.6g}")
+
+
 def apply_series(T: AffineCso, f: DiscSeries, out_radius: float,
                  matrix: Optional[np.ndarray] = None) -> DiscSeries:
-    """T f on D_{out_radius}: one product with operator_matrix(T, len(f.coeffs)),
-    which a caller applying T repeatedly to series of one length passes in.
+    """T f on D_{out_radius}: one product with operator_block(T, matrix,
+    len(f.coeffs)); a caller applying T repeatedly builds the matrix once,
+    at the largest length it needs, and passes it in.
 
-    Requires every image disc strictly inside the domain disc,
-    |s_i| * out_radius + |t_i| < f.radius.  Then no composition increases the
-    l1 norm, so sum_i |a_i| * f.tail_bound bounds the discarded tail.
+    Requires every image disc strictly inside the domain disc (see
+    check_image_discs).  Then no composition increases the l1 norm, so
+    sum_i |a_i| * f.tail_bound bounds the discarded tail.
     """
     out_radius = float(out_radius)
     if out_radius <= 0.0:
         raise PreconditionError("out_radius must be positive")
-    for m in T.maps:
-        reach = abs(m.s) * out_radius + abs(m.t)
-        if reach >= f.radius:
-            raise PreconditionError(
-                f"image disc escapes domain: |s|*r+|t| = {reach:.6g} >= {f.radius:.6g}")
-    if matrix is None:
-        matrix = operator_matrix(T, len(f.coeffs))
+    check_image_discs(T, out_radius, f.radius)
+    A = operator_block(T, matrix, len(f.coeffs))
     tail = sum(abs(a) * f.tail_bound for a in T.coefficients)
-    return DiscSeries(out_radius, matrix @ f.coeffs, tail)
+    return DiscSeries(out_radius, A @ f.coeffs, tail)
 
 
 def apply_singular(
@@ -159,9 +177,10 @@ def apply_singular(
     margin: float = 0.0,
     drop_tol: float = 0.0,
     n_terms: int = DEFAULT_TRUNCATION,
+    matrix: Optional[np.ndarray] = None,
 ) -> SingularFunction:
     """Sum of pullbacks of every singular term through every map, plus the
-    regular part pushed through apply_series.
+    regular part pushed through apply_series (with `matrix`, if given).
 
     With the default on_interior="error" the unbounded set must be simple
     under T.  The relocation mode skips that gate; it is meant for the
@@ -175,7 +194,7 @@ def apply_singular(
             raise NonSimpleConfigurationError(
                 f"singular set not simple under operator: {bad[0].reason}")
     weighted: list[tuple[complex, SingularTerm]] = []
-    regular_parts = [(1.0, apply_series(T, f.regular, R))]
+    regular_parts = [(1.0, apply_series(T, f.regular, R, matrix))]
     for a, m in T.terms:
         for term in f.terms:
             pb = pullback_term(term, m, R, on_interior=on_interior,

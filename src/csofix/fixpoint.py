@@ -22,12 +22,12 @@ import numpy as np
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .cso import (
     AffineCso,
-    apply_series,
     apply_singular,
     certified_contraction_rate,
+    check_image_discs,
     fixed_point_independence,
     induced_m,
-    monomial_matrix,
+    operator_block,
     operator_matrix,
     poly_fp_degrees,
     seed_admissibility,
@@ -99,30 +99,37 @@ def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float,
 
 
 def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
-             max_iter: int) -> tuple[DiscSeries, int]:
+             max_iter: int, matrix: Optional[np.ndarray] = None
+             ) -> tuple[DiscSeries, int]:
     # increment slack is tightened to K times the previous slack, which the
     # certified rate justifies; the raw per-term bound compounds by sum|a_i|
     K = certified_contraction_rate(T, R)
     if not K < 1.0:
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
     stop = tol * (1.0 - K)
-    A = operator_matrix(T, g.coeffs.size)
-    term = DiscSeries(R, g.coeffs, g.tail_bound)
-    total_coeffs = np.zeros(1, dtype=complex)
+    g = DiscSeries(R, g.coeffs, g.tail_bound)
+    # every term lives on D_R, so the image check of apply_series is the same
+    # on each iteration and is made once; the loop runs on raw arrays and
+    # keeps the finiteness check a DiscSeries makes of each new term
+    check_image_discs(T, R, R)
+    A = operator_block(T, matrix, g.coeffs.size)
+    rpow = R ** np.arange(g.coeffs.size, dtype=float)
+    term, tail = g.coeffs, g.tail_bound
+    total = np.zeros(term.size, dtype=complex)
     total_tail = 0.0
     for n in range(max_iter):
-        if l1_norm(term) < stop:
-            return DiscSeries(R, total_coeffs, total_tail), n
-        if total_coeffs.size < term.coeffs.size:
-            total_coeffs = np.concatenate(
-                [total_coeffs, np.zeros(term.coeffs.size - total_coeffs.size, complex)])
-        total_coeffs[:term.coeffs.size] += term.coeffs
-        total_tail += term.tail_bound
-        slack = K * term.tail_bound
-        term = DiscSeries(R, apply_series(T, term, R, A).coeffs, slack)
+        if float(np.abs(term) @ rpow) + tail < stop:
+            # nothing summed at n = 0: the one-coefficient zero series
+            return DiscSeries(R, total if n else total[:1], total_tail), n
+        total += term
+        total_tail += tail
+        term = A @ term
+        if not np.isfinite(term).all():
+            raise PreconditionError("series coefficients must be finite")
+        tail = K * tail
     raise ConvergenceError(
         f"Neumann series did not reach {tol} in {max_iter} iterations "
-        f"(rate {K:.6f}, last increment {l1_norm(term):.3e})")
+        f"(rate {K:.6f}, last increment {float(np.abs(term) @ rpow) + tail:.3e})")
 
 
 def _regular_diff_norm(a: SingularFunction, b: SingularFunction) -> float:
@@ -135,24 +142,31 @@ def _term_diff(a: SingularFunction, b: SingularFunction) -> tuple:
     return merge_terms(parts, drop_below=CANCEL_TOL * scale)
 
 
+def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int) -> np.ndarray:
+    """operator_matrix of T at the largest length a solve from f meets:
+    pullbacks expand to max(n_terms, 2) coefficients and T never lengthens a
+    series, so every application in the solve uses a leading block."""
+    return operator_matrix(T, max(int(n_terms), 2, f.regular.coeffs.size))
+
+
 def _finish(T: AffineCso, f0: SingularFunction, R: float, tol: float,
             max_iter: int, route: Route, *, on_interior: str,
-            n_terms: int) -> FixedPointResult:
+            n_terms: int, matrix: np.ndarray) -> FixedPointResult:
     """Common tail of the direct and generalized routes: f0 with stable
     singular terms becomes f0 - N(f0 - T f0)."""
     Tf0 = apply_singular(T, f0, on_interior=on_interior, margin=REG_MARGIN,
-                         n_terms=n_terms)
+                         n_terms=n_terms, matrix=matrix)
     leftovers = _term_diff(Tf0, f0)
     if leftovers:
         raise PreconditionError(
             f"remainder not regular on D_{R}: uncancelled {leftovers[0].kind} term "
             f"at {leftovers[0].location} (weight {leftovers[0].weight})")
     gbar = linear_combine([(1.0, f0.regular), (-1.0, Tf0.regular)])
-    u, iters = _neumann(T, gbar, R, tol, max_iter)
+    u, iters = _neumann(T, gbar, R, tol, max_iter, matrix)
     fstar = SingularFunction(
         f0.terms, linear_combine([(1.0, f0.regular), (-1.0, u)]))
     Tfs = apply_singular(T, fstar, on_interior=on_interior, margin=REG_MARGIN,
-                         n_terms=n_terms)
+                         n_terms=n_terms, matrix=matrix)
     if _term_diff(Tfs, fstar):
         raise ConvergenceError("fixed point lost singular-term cancellation")
     residual = _regular_diff_norm(Tfs, fstar)
@@ -169,7 +183,7 @@ def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
     when every non-owning map sends the seed location outside its image."""
     f0 = _as_function(seed, R)
     return _finish(T, f0, R, tol, max_iter, DIRECT, on_interior="error",
-                   n_terms=n_terms)
+                   n_terms=n_terms, matrix=_solve_matrix(T, f0, n_terms))
 
 
 def generalized_seed_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
@@ -181,12 +195,13 @@ def generalized_seed_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFun
     Relocated singularities are tracked exactly, so the stabilized term set
     may be larger than the seed's."""
     g = _as_function(seed, R)
+    A = _solve_matrix(T, g, n_terms)
     for k in range(k_max + 1):
         g_next = apply_singular(T, g, on_interior="relocate", margin=REG_MARGIN,
-                                n_terms=n_terms)
+                                n_terms=n_terms, matrix=A)
         if not _term_diff(g_next, g):
             return _finish(T, g, R, tol, max_iter, Route("generalized_seed", k),
-                           on_interior="relocate", n_terms=n_terms)
+                           on_interior="relocate", n_terms=n_terms, matrix=A)
         g = g_next
     raise PreconditionError(
         f"singular terms never stabilized within k <= {k_max}")
@@ -227,8 +242,9 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     for _ in range(m):
         U = integrate_from_zero(U)
     h = SingularFunction((log_term(z_i, 1.0),), U)
+    A = _solve_matrix(T, h, n_terms)
     Th = apply_singular(T, h, on_interior="error", margin=REG_MARGIN,
-                        n_terms=n_terms)
+                        n_terms=n_terms, matrix=A)
     if _term_diff(Th, h):
         raise ConvergenceError("integrated candidate lost term cancellation")
     q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
@@ -238,15 +254,14 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
         raise ConvergenceError(
             f"integrated remainder is not a degree-{m - 1} polynomial "
             f"(excess norm {dust:.3e})")
-    A = np.eye(m, dtype=complex) - monomial_matrix(T, m - 1)
     qv = np.zeros(m, dtype=complex)
     qv[:min(m, q.coeffs.size)] = q.coeffs[:m]
-    p = np.linalg.solve(A, qv)
+    p = np.linalg.solve(np.eye(m, dtype=complex) - A[:m, :m], qv)
     corrected = linear_combine([(1.0, h.regular),
                                 (1.0, DiscSeries(R, p, 0.0))])
     fstar = SingularFunction(h.terms, corrected)
     Tfs = apply_singular(T, fstar, on_interior="error", margin=REG_MARGIN,
-                         n_terms=n_terms)
+                         n_terms=n_terms, matrix=A)
     residual = _regular_diff_norm(Tfs, fstar)
     if not residual < tol:
         raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -36,21 +35,14 @@ def make_M() -> AffineCso:
     return make_cso([(1.0, PHI1), (1.0, PHI2)])
 
 
-@dataclass(frozen=True)
-class GoldenConstants:
-    omega: float = OMEGA
-    phi1: AffineMap = PHI1
-    phi2: AffineMap = PHI2
-    c1: float = C1
-    c2: float = C2
-
-
 def _level_maps(depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (s, t) arrays of all length-n compositions for n = 0..depth.
 
     Level n+1 extends each word w by one map on the right:
     (s_w s_j, s_w t_j + t_w).  All entries stay real.
     """
+    if depth < 0:
+        raise PreconditionError("depth must be >= 0")
     s = np.array([1.0])
     t = np.array([0.0])
     rates = np.array([PHI1.s.real, PHI2.s.real])
@@ -59,18 +51,6 @@ def _level_maps(depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield s, t
         s, t = (np.concatenate([s * r for r in rates]),
                 np.concatenate([s * sh + t for sh in shifts]))
-
-
-@dataclass(frozen=True)
-class WordExpansion:
-    depth: int
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def word_expansion(depth: int) -> WordExpansion:
-    if depth < 0:
-        raise PreconditionError("depth must be >= 0")
-    return WordExpansion(depth, tuple(_level_maps(depth)))
 
 
 def _kahan(total: complex, comp: complex, x: complex) -> tuple[complex, complex]:

@@ -166,6 +166,8 @@ def test_golden_identity_command(capsys):
 def test_golden_fp_command(capsys):
     code, report, _ = run_cli(capsys, "golden", "fp")
     assert code == 0
+    params = json.dumps({"cmd": "fp", "depth": 18, "tol": 1e-8}, sort_keys=True)
+    assert report["inputs_digest"] == hashlib.sha256(params.encode()).hexdigest()
     out = report["outputs"]
     assert out["route"] == "generalized_seed(1)"
     assert len(out["comparison"]) == 20
@@ -229,3 +231,31 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["golden"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--config", GOLDEN_CFG, "--tol", "1e-3"],
+    ["diagnose", "--config", GOLDEN_CFG, "--parallel"],
+    ["fixpoint", "--config", POLE_CFG, "--seed-location", "0", "0", "--parallel"],
+    ["polyfix", "--config", GOLDEN_CFG, "--radius", "1.5"],
+    ["polyfix", "--config", GOLDEN_CFG, "--tol", "1e-3"],
+    ["golden", "fp", "--radius", "1.5"],
+    ["golden", "identity", "--tol", "1e-3"],
+    ["golden", "figure", "--radius", "1.5"],
+    ["golden", "sfs", "--parallel"],
+])
+def test_ignored_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_golden_digest_covers_what_the_subcommand_reads(capsys):
+    def digest(params):
+        return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+
+    _, report, _ = run_cli(capsys, "golden", "identity", "--depth", "10")
+    assert report["inputs_digest"] == digest({"cmd": "identity", "depth": 10})
+    _, report, _ = run_cli(capsys, "golden", "sfs", "--depth", "2")
+    assert report["inputs_digest"] == digest({"cmd": "sfs", "depth": 2})

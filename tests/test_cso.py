@@ -143,6 +143,24 @@ def test_apply_series_evaluates_sum_of_compositions(rng, n):
             abs(a) for a in T.coefficients)
 
 
+@pytest.mark.parametrize("n", [1, 2, 64, 128])
+def test_apply_series_with_oversized_matrix_is_exact(rng, n):
+    # the leading n x n block of a larger operator_matrix is the n x n one
+    T = random_operator(rng, 4)
+    f = with_tail(random_poly(rng, 1.0, n - 1), 3e-7)
+    big = operator_matrix(T, 200)
+    assert np.array_equal(big[:n, :n], operator_matrix(T, n))
+    sliced, fresh = apply_series(T, f, 1.0, big), apply_series(T, f, 1.0)
+    assert sliced.coeffs.tobytes() == fresh.coeffs.tobytes()
+    assert sliced.tail_bound == fresh.tail_bound
+
+
+def test_apply_series_rejects_undersized_matrix(rng):
+    T = random_operator(rng, 3)
+    with pytest.raises(PreconditionError, match="smaller than the series"):
+        apply_series(T, random_poly(rng, 1.0, 9), 1.0, operator_matrix(T, 9))
+
+
 def test_apply_rejects_escaping_image():
     T = golden_op()  # |w^2| r + w >= r for r <= 1
     with pytest.raises(PreconditionError, match="image disc escapes domain"):

@@ -11,6 +11,7 @@ from csofix.cso import (
     apply_series,
     apply_singular,
     certified_contraction_rate,
+    induced_m,
     make_cso,
     pinned,
 )
@@ -24,8 +25,15 @@ from csofix.fixpoint import (
     neumann_inverse,
     seeded_fixed_point,
 )
-from csofix.golden import make_M, word_fixed_point
-from csofix.series import eval_at, l1_norm, linear_combine, zero_series
+from csofix.golden import C2, make_M, word_fixed_point
+from csofix.series import (
+    DiscSeries,
+    eval_at,
+    l1_norm,
+    linear_combine,
+    with_tail,
+    zero_series,
+)
 from csofix.singular import (
     SingularFunction,
     eval_singular,
@@ -67,25 +75,68 @@ def test_neumann_geometric_example():
 
 
 def test_neumann_builds_operator_matrix_once(monkeypatch, rng):
-    Mc = pinned(make_M(), W)
-    # cache the certified rate first: its basis scan builds a matrix too
-    certified_contraction_rate(Mc, 2.0)
-    builds, applications = [], []
+    Mc, T, M = pinned(make_M(), W), pole_op(), make_M()
+    Tm = induced_m(M, 3)
+    # cache the certified rates first: their basis scans build matrices too
+    for op, R in ((Mc, 2.0), (T, 4.0), (Tm, 1.2)):
+        certified_contraction_rate(op, R)
+    builds = []
+    original = cso.operator_matrix
 
-    def counting(fn, log):
-        def wrapper(*args, **kwargs):
-            log.append(args)
-            return fn(*args, **kwargs)
-        return wrapper
+    def build(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
 
-    build = counting(cso.operator_matrix, builds)
     monkeypatch.setattr(cso, "operator_matrix", build)
     monkeypatch.setattr(fixpoint, "operator_matrix", build)
-    monkeypatch.setattr(fixpoint, "apply_series",
-                        counting(cso.apply_series, applications))
-    neumann_inverse(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10)
-    assert len(applications) > 10
-    assert len(builds) == 1
+    _, iterations = fixpoint._neumann(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10,
+                                      fixpoint.DEFAULT_MAX_ITER)
+    assert iterations > 10
+    assert builds == [Mc]
+    # a whole solve builds one matrix per operator, on every route
+    builds.clear()
+    res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
+    assert res.iterations > 10
+    assert builds == [Mc]
+    builds.clear()
+    res = seeded_fixed_point(T, make_seed(T, pole_term(0.0, 1)), 4.0, 1e-8)
+    assert res.iterations > 10
+    assert builds == [T]
+    builds.clear()
+    # one for the induced operator's inner solve, one for T itself
+    res = derivative_route_fixed_point(M, 0, 3, 1.2, 1e-8)
+    assert res.iterations > 10
+    assert builds == [Tm, M]
+
+
+def reference_neumann(T, g, R, tol):
+    """The Neumann sum written on DiscSeries with the public operations."""
+    K = certified_contraction_rate(T, R)
+    term, total, n = with_tail(g, g.tail_bound), zero_series(R), 0
+    while l1_norm(term) >= tol * (1.0 - K):
+        total = linear_combine([(1.0, total), (1.0, term)])
+        term = with_tail(apply_series(T, term, R), K * term.tail_bound)
+        n += 1
+    return total, n
+
+
+@pytest.mark.parametrize("big", [1e300, 1e307])
+def test_neumann_overflow(big):
+    # at 1e300 the l1 norm on D_2 overflows while every coefficient stays
+    # finite, so the sum goes on; at 1e307 the coefficients overflow too
+    Mc = pinned(make_M(), C2)
+    g = DiscSeries(2.0, np.full(64, big, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if big == 1e307:
+            with pytest.raises(PreconditionError) as e:
+                neumann_inverse(Mc, g, 2.0, 1e-8)
+            assert str(e.value) == "series coefficients must be finite"
+            return
+        h = neumann_inverse(Mc, g, 2.0, 1e-8)
+        ref, n = reference_neumann(Mc, g, 2.0, 1e-8)
+    assert n > 1000
+    assert h.tail_bound == ref.tail_bound
+    assert h.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_neumann_solves_to_tolerance(rng):

@@ -11,7 +11,9 @@ from csofix.golden import (
     C1,
     C2,
     OMEGA,
-    GoldenConstants,
+    PHI1,
+    PHI2,
+    _level_maps,
     default_figure_grid,
     figure_data,
     general_a_cso,
@@ -22,7 +24,6 @@ from csofix.golden import (
     oracle_comparison_points,
     sfs_fixed_vector,
     sfs_spectrum,
-    word_expansion,
     word_fixed_point,
 )
 
@@ -35,22 +36,21 @@ def test_constants_and_operator():
     M = make_M()
     assert M.coefficients == (1.0, 1.0)
     assert M.maps == (AffineMap(-W, 0.0), AffineMap(W * W, 1.0))
-    g = GoldenConstants()
-    assert g.omega == W and g.c1 == -W and g.c2 == W
-    assert g.phi1(1.0) == C1 and abs(g.phi2(0.0) - C2) < 1e-15
+    assert OMEGA == W and C1 == -W and C2 == W
+    assert PHI1(1.0) == C1 and abs(PHI2(0.0) - C2) < 1e-15
 
 
 def test_word_expansion_levels():
-    exp = word_expansion(6)
-    assert exp.depth == 6 and len(exp.levels) == 7
-    for n, (s, t) in enumerate(exp.levels):
+    levels = list(_level_maps(6))
+    assert len(levels) == 7
+    for n, (s, t) in enumerate(levels):
         assert s.size == 2 ** n and t.size == 2 ** n
         assert math.isclose(np.sum(np.abs(s)), 1.0, rel_tol=1e-12)
         assert np.max(np.abs(s)) <= W ** n * (1.0 + 1e-12)
         # squared rates decay like (w^2 + w^4)^n ~ 0.528^n per level
         assert math.isclose(np.sum(s * s), (W ** 2 + W ** 4) ** n, rel_tol=1e-10)
     with pytest.raises(PreconditionError):
-        word_expansion(-1)
+        next(_level_maps(-1))
 
 
 def test_word_fixed_point_guards():

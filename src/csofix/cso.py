@@ -9,11 +9,13 @@ projection), and the structural predicates used to admit singular seeds.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonSimpleConfigurationError, PreconditionError
 from .series import DEFAULT_TRUNCATION, DiscSeries, linear_combine
@@ -106,32 +108,98 @@ def make_cso(terms: Iterable[tuple[complex, AffineMap]]) -> AffineCso:
     return AffineCso(tuple(terms))
 
 
+# Columns below this come from the closed form.  Later columns use the
+# recurrence, which keeps the binomial table at 2 MB; C(k, r) itself would
+# overflow float64 near k = 1030.
+CLOSED_FORM_COLUMNS = 512
+# C(k, r) at [r, k], correctly rounded; the only state kept across calls
+_binomial = np.ones((1, 1))
+
+
+def _binomial_table(n: int) -> np.ndarray:
+    """Leading n x n block (n <= CLOSED_FORM_COLUMNS) of the binomial table,
+    grown to n when a larger block is first asked for."""
+    global _binomial
+    old = _binomial  # read once: another thread may grow it meanwhile
+    m = old.shape[0]
+    if m >= n:
+        return old[:n, :n]
+    # An anonymous mapping keeps the table out of the malloc heap: grown
+    # there, between the large temporaries of the golden word sums, it made
+    # those 3-5% slower.
+    table = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float).reshape(n, n)
+    table[:m, :m] = old
+    col = np.zeros(n, dtype=object)  # Pascal's rule on exact integers
+    col[:m] = [math.comb(m - 1, r) for r in range(m)]
+    for k in range(m, n):
+        col[1 : k + 1] = col[1 : k + 1] + col[:k]
+        table[: k + 1, k] = col[: k + 1].astype(float)
+    _binomial = table
+    return table
+
+
 def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
     """n x n upper-triangular matrix of T on 1, z, ..., z^{n-1}: column k
-    holds the coefficients of T z^k = sum_i a_i (s_i z + t_i)^k.
+    holds the coefficients of T z^k = sum_i a_i (s_i z + t_i)^k, that is
+    A[r, k] = C(k, r) sum_i a_i s_i^r t_i^(k-r).
 
-    Built column by column with the binomial recurrence
-    (s z + t)^{k+1} = (s z + t)^k * (s z + t), stacked over the terms.
+    Columns k < CLOSED_FORM_COLUMNS are that closed form: one term sum of
+    a_i s_i^r against a skewed view of t_i^(k-r), then a product with the
+    binomial table.  The powers are taken of s_i / rho and t_i / rho, rho
+    the power of two <= 1 nearest the largest |s_i| + |t_i|, and column k is
+    scaled back by rho^k, both exactly: with small maps, unscaled products
+    a_i s_i^r t_i^(k-r) would underflow long before the columns do.  Later
+    columns continue the binomial recurrence (s z + t)^{k+1} =
+    (s z + t)^k * (s z + t) from each term's column 511.
+    Entry [r, k] never depends on n (the powers are always taken to
+    CLOSED_FORM_COLUMNS, and the term sum and the recurrence keep a fixed
+    order), so a leading block of a larger matrix is the smaller matrix,
+    bit for bit.
     """
     if n < 1:
         raise PreconditionError("matrix size must be >= 1")
+    W = CLOSED_FORM_COLUMNS
+    K = min(n, W)
     s = np.array([m.s for m in T.maps], dtype=complex)[:, None]
     t = np.array([m.t for m in T.maps], dtype=complex)[:, None]
-    rows = np.zeros((T.ell, n), dtype=complex)  # row i: a_i (s_i z + t_i)^k
-    rows[:, 0] = T.coefficients
+    # rho = 2^e <= 1, the power of two nearest the largest |s_i| + |t_i|
+    reach = max(abs(m.s) + abs(m.t) for m in T.maps)
+    e = min(0, max(-1000, round(math.log2(reach)))) if reach > 0 else 0
+    lead = np.empty((T.ell, W), dtype=complex)  # lead[i, r] = a_i (s_i/rho)^r
+    lead[:, :1] = np.array(T.coefficients, dtype=complex)[:, None]
+    lead[:, 1:] = s * 2.0 ** -e
+    np.cumprod(lead, axis=1, out=lead)
+    tpow = np.zeros((T.ell, 2 * W - 1), dtype=complex)  # (t_i/rho)^j at [i, W-1+j]
+    tpow[:, W - 1] = 1.0
+    tpow[:, W:] = t * 2.0 ** -e
+    np.cumprod(tpow[:, W - 1:], axis=1, out=tpow[:, W - 1:])
+    # skew[i, r, k] = (t_i/rho)^(k-r), zero below the diagonal
+    skew = sliding_window_view(tpow[:, W - K : W - 1 + K], K, axis=1)[:, ::-1, :]
     A = np.zeros((n, n), dtype=complex)
-    A[0, 0] = rows[:, 0].sum()
-    for k in range(1, n):
-        rows[:, 1 : k + 1] = t * rows[:, 1 : k + 1] + s * rows[:, :k]
-        rows[:, 0] *= t[:, 0]
-        A[: k + 1, k] = rows[:, : k + 1].sum(axis=0)
+    block = A[:K, :K]
+    np.einsum("ir,irk->rk", lead[:, :K], skew, out=block)
+    binom = _binomial_table(K)
+    block.real *= binom
+    block.imag *= binom
+    if e:
+        rho_k = np.ldexp(1.0, e * np.arange(K))
+        block.real *= rho_k
+        block.imag *= rho_k
+    if n > W:
+        rows = np.zeros((T.ell, n), dtype=complex)  # row i: a_i (s_i z + t_i)^k
+        rows[:, :W] = (lead * skew[:, :, W - 1] * binom[:, W - 1]
+                       * math.ldexp(1.0, e * (W - 1)))
+        for k in range(W, n):
+            rows[:, 1 : k + 1] = t * rows[:, 1 : k + 1] + s * rows[:, :k]
+            rows[:, 0] *= t[:, 0]
+            A[: k + 1, k] = rows[:, : k + 1].sum(axis=0)
     return A
 
 
 def operator_block(T: AffineCso, matrix: Optional[np.ndarray], n: int) -> np.ndarray:
     """operator_matrix(T, n): the leading n x n block of `matrix`, a larger
     operator_matrix of T, when one is given, else a fresh build.  The block
-    is exact, because column k of the recurrence never reads past column k."""
+    is exact, because no entry of operator_matrix depends on its size."""
     if matrix is None:
         return operator_matrix(T, n)
     if matrix.shape[0] < n:
@@ -230,10 +298,14 @@ def analytic_ratio_bound(T: AffineCso, n: int, R: float) -> float:
 
 
 def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
-    """||T z^n||_R / R^n for n = 0..n_max: the R-weighted column l1 norms of
-    operator_matrix.  Matches basis_image_norm pointwise."""
-    rpow = R ** np.arange(n_max + 1)
-    return rpow @ np.abs(operator_matrix(T, n_max + 1)) / rpow
+    """||T z^n||_R / R^n for n = 0..n_max: column n of operator_matrix in
+    l1 with weights R^(r-n), r <= n, which stay <= 1 for R >= 1, so a large
+    R overflows nothing.  Matches basis_image_norm pointwise."""
+    n = n_max + 1
+    rinv = np.zeros(2 * n - 1)  # R^-j at [n-1+j]
+    rinv[n - 1:] = float(R) ** -np.arange(n, dtype=float)
+    weights = sliding_window_view(rinv, n)[::-1]  # R^(r-k) at [r, k]
+    return np.einsum("rk,rk->k", np.abs(operator_matrix(T, n)), weights)
 
 
 @lru_cache(maxsize=256)

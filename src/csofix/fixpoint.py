@@ -108,12 +108,19 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
     stop = tol * (1.0 - K)
     g = DiscSeries(R, g.coeffs, g.tail_bound)
+    with np.errstate(over="ignore"):
+        rpow = R ** np.arange(g.coeffs.size, dtype=float)
+    if not np.isfinite(rpow[-1]):
+        # 0 * inf would make every increment norm nan, so the loop could
+        # never stop
+        raise PreconditionError(
+            f"truncation N={rpow.size} is too long for D_{R}: R^n overflows "
+            f"for n >= {int(np.argmax(np.isinf(rpow)))}")
     # every term lives on D_R, so the image check of apply_series is the same
     # on each iteration and is made once; the loop runs on raw arrays and
     # keeps the finiteness check a DiscSeries makes of each new term
     check_image_discs(T, R, R)
     A = operator_block(T, matrix, g.coeffs.size)
-    rpow = R ** np.arange(g.coeffs.size, dtype=float)
     term, tail = g.coeffs, g.tail_bound
     total = np.zeros(term.size, dtype=complex)
     total_tail = 0.0

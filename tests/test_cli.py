@@ -140,6 +140,35 @@ def test_fixpoint_derivative_route(capsys):
     assert code == 2 and "no map fixes" in err
 
 
+def long_golden_config(tmp_path, truncation: int) -> str:
+    doc = json.loads(Path(GOLDEN_CFG).read_text())
+    doc["truncation"] = truncation
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+def test_fixpoint_derivative_route_past_closed_form(capsys, tmp_path):
+    # N = 1100 takes operator_matrix well past its closed-form columns
+    code, report, _ = run_cli(
+        capsys, "fixpoint", "--config", long_golden_config(tmp_path, 1100),
+        "--radius", "1.2", "--seed-location", "0", "0", "--seed-order", "2",
+        "--route", "derivative")
+    assert code == 0
+    out = report["outputs"]
+    assert out["route"] == "derivative(2)" and out["iterations"] == 32
+    assert out["residual"]["value"] < out["residual"]["tolerance"] == 1e-8
+
+
+def test_fixpoint_overflowing_weights_exit_2(capsys, tmp_path):
+    code, report, err = run_cli(
+        capsys, "fixpoint", "--config", long_golden_config(tmp_path, 1100),
+        "--pin", repr(-W), "0", "--seed-location", "0", "0",
+        "--route", "generalized")
+    assert code == 2 and report is None
+    assert "N=1100 is too long for D_2.0" in err
+
+
 def test_fixpoint_convergence_failure_exits_3(capsys, tmp_path):
     doc = json.loads(Path(POLE_CFG).read_text())
     doc["truncation"] = 16

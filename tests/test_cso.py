@@ -1,10 +1,14 @@
 import cmath
 import math
+import sys
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import rand_disc, random_poly, random_tame_cso
+from csofix import cso
 from csofix.errors import NonSimpleConfigurationError, PreconditionError
 from csofix.cso import (
     AffineMap,
@@ -129,6 +133,85 @@ def test_operator_matrix_matches_binomial_sums(rng, n):
             assert np.max(np.abs(A[: k + 1, k] - ref)) <= 1e-12 * np.sum(np.abs(ref))
 
 
+def mp_column(T, k: int) -> list:
+    """Column k of T's matrix in 30-digit arithmetic: C(k, r) times
+    sum_i a_i s_i^r t_i^(k-r), with exact binomials."""
+    col = [mpmath.mpc(0)] * (k + 1)
+    for a, m in T.terms:
+        s, t = mpmath.mpc(m.s), mpmath.mpc(m.t)
+        spow, tpow = [mpmath.mpc(a)], [mpmath.mpc(1)]
+        for _ in range(k):
+            spow.append(spow[-1] * s)
+            tpow.append(tpow[-1] * t)
+        for r in range(k + 1):
+            col[r] += spow[r] * tpow[k - r]
+    return [math.comb(k, r) * c for r, c in enumerate(col)]
+
+
+def test_operator_matrix_matches_mpmath(rng):
+    # columns on both sides of the switch from the closed form to the
+    # recurrence at 512, each within 1e-12 of its R-weighted l1 norm
+    mpmath.mp.dps = 30
+    cols = (0, 1, 255, 510, 511, 512, 513, 1199)
+    ops = [(random_operator(rng, ell, fix_radius=0.9), 1.0, cols) for ell in (2, 3, 5)]
+    M = golden_op()
+    ops += [(pinned(M, W), 2.0, cols), (projected_j(M, 1), 2.0, cols),
+            (induced_m(M, 3), 1.2, cols)]
+    # small maps: the products a_i s_i^r t_i^(k-r) alone would underflow
+    # long before column 400 does
+    small = make_cso([(1.0, AffineMap(0.15, 0.1)), (-0.7 + 0.2j, AffineMap(0.1j, -0.1)),
+                      (0.5, AffineMap(0.0, 0.12))])
+    ops.append((small, 1.0, (0, 1, 255, 400)))
+    for T, R, ks in ops:
+        A = operator_matrix(T, 1200)
+        for k in ks:
+            ref = mp_column(T, k)
+            weights = [mpmath.mpf(R) ** r for r in range(k + 1)]
+            norm = sum(abs(c) * w for c, w in zip(ref, weights))
+            # float64 holds a column to relative accuracy only when its
+            # norm is well inside the normal range (pinning zeroes column 0)
+            assert norm == 0 or 1e-300 < norm < 1e300
+            err = sum(abs(complex(A[r, k]) - c) * w
+                      for r, (c, w) in enumerate(zip(ref, weights)))
+            assert err <= 1e-12 * norm, (T, k)
+
+
+def test_operator_matrix_leading_blocks_are_exact(rng):
+    # entry [r, k] never depends on the size built, on either side of 512
+    M = golden_op()
+    for T in (random_operator(rng, 2), random_operator(rng, 5), pinned(M, W)):
+        big = operator_matrix(T, 1200)
+        for n in (1, 2, 3, 300, 511, 512, 513):
+            assert operator_matrix(T, n).tobytes() == big[:n, :n].tobytes()
+    assert cso._binomial.shape == (512, 512) == (cso.CLOSED_FORM_COLUMNS,) * 2
+
+
+def test_binomial_table_grows_safely_from_threads(monkeypatch, rng):
+    # threads growing a fresh table at once see the same matrices as one
+    T = random_operator(rng, 3)
+    sizes = [3, 40, 129, 200, 257, 400, 511, 512]
+    expected = {n: operator_matrix(T, n).tobytes() for n in sizes}
+    monkeypatch.setattr(cso, "_binomial", np.ones((1, 1)))
+    results, interval = [], sys.getswitchinterval()
+
+    def work(order):
+        for n in order:
+            results.append(operator_matrix(T, n).tobytes() == expected[n])
+
+    threads = [threading.Thread(target=work, args=(sizes[i:] + sizes[:i],))
+               for i in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 6 * len(sizes) and all(results)
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 256])
 def test_apply_series_evaluates_sum_of_compositions(rng, n):
     T = random_operator(rng, 4)
@@ -188,6 +271,17 @@ def test_scan_matches_pointwise_and_bound(rng):
         scan = basis_ratio_scan(U, 1.0, 12)
         for n in range(13):
             assert scan[n] <= analytic_ratio_bound(U, n, 1.0) * (1.0 + 1e-12)
+
+
+def test_scan_at_large_radius_is_finite():
+    # R^n alone overflows at R = 40 well before n = 200
+    T, R = golden_op(), 40.0
+    scan = basis_ratio_scan(T, R, 200)
+    assert np.all(np.isfinite(scan))
+    for n in range(151):
+        assert math.isclose(scan[n], basis_image_norm(T, n, R) / R ** n,
+                            rel_tol=1e-12)
+    assert math.isfinite(certified_contraction_rate(T, R))
 
 
 def test_contraction_report_golden():

@@ -139,6 +139,22 @@ def test_neumann_overflow(big):
     assert h.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
+def test_neumann_rejects_overflowing_weights(monkeypatch):
+    # on D_2, R^n overflows for n >= 1024: rejected before any iteration
+    Mc = pinned(make_M(), -W)
+
+    def no_iterations(*args):
+        raise AssertionError("Neumann loop reached")
+
+    monkeypatch.setattr(fixpoint, "operator_block", no_iterations)
+    g = DiscSeries(2.0, np.ones(1100, dtype=complex))
+    with pytest.raises(PreconditionError) as e:
+        neumann_inverse(Mc, g, 2.0, 1e-8)
+    assert type(e.value) is PreconditionError
+    assert str(e.value) == ("truncation N=1100 is too long for D_2.0: "
+                            "R^n overflows for n >= 1024")
+
+
 def test_neumann_solves_to_tolerance(rng):
     Mc = pinned(make_M(), W)
     for _ in range(5):

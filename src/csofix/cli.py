@@ -28,7 +28,7 @@ from .cso import (
     contraction_report,
     fixed_point_independence,
     make_cso,
-    monomial_matrix,
+    operator_matrix,
     pinned,
     poly_fixed_points,
     poly_fp_degrees,
@@ -158,6 +158,7 @@ def run_diagnose(cfg: OperatorConfig, radius: Optional[float] = None,
     T = _operator(cfg, pin)
     R = cfg.radius if radius is None else radius
     rep = contraction_report(T, cfg.mu, R)
+    cert = rep.certificate
     scan = poly_fp_degrees(cfg.cso, 50)
     fixes = sorted({m.z_fix for m in cfg.cso.maps}, key=lambda z: (z.real, z.imag))
     simple = simplicity_check(cfg.cso, fixes)
@@ -165,11 +166,11 @@ def run_diagnose(cfg: OperatorConfig, radius: Optional[float] = None,
         "radius": R,
         "mu": rep.mu,
         "R0": rep.R0,
-        "N": rep.N,
-        "is_contraction": rep.is_contraction,
-        "certified_rate": _num(rep.certified_rate),
-        "ratios": [_num(r) for r in rep.ratios],
-        "ratio_tail_bound_index": rep.n_max + 1,
+        "N": cert.N,
+        "is_contraction": cert.is_contraction,
+        "certified_rate": _num(cert.rate),
+        "ratios": [_num(r) for r in cert.ratios],
+        "ratio_tail_bound_index": len(cert.ratios),
         "poly_degrees": list(scan.degrees),
         "poly_degree_cutoff": scan.cutoff,
         "independence": [fixed_point_independence(cfg.cso, i, R)
@@ -296,7 +297,7 @@ def run_golden_sfs(n: int) -> dict:
 def run_polyfix(cfg: OperatorConfig, m_max: int) -> dict:
     scan = poly_fp_degrees(cfg.cso, m_max)
     basis = poly_fixed_points(cfg.cso, m_max)
-    A = np.eye(m_max + 1, dtype=complex) - monomial_matrix(cfg.cso, m_max)
+    A = np.eye(m_max + 1, dtype=complex) - operator_matrix(cfg.cso, m_max + 1)
     residuals = [float(np.max(np.abs(A @ v))) for v in basis]
     return {
         "m_max": m_max,

@@ -156,14 +156,20 @@ def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
     order), so a leading block of a larger matrix is the smaller matrix,
     bit for bit.
     """
+    return _conjugated_matrix(T, n, 1.0)
+
+
+def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
+    """operator_matrix of the terms a_i f(s_i z + t_i / R): T conjugated by
+    z -> R z, divided by R^k in column k.  R = 1 gives T's own matrix."""
     if n < 1:
         raise PreconditionError("matrix size must be >= 1")
     W = CLOSED_FORM_COLUMNS
     K = min(n, W)
     s = np.array([m.s for m in T.maps], dtype=complex)[:, None]
-    t = np.array([m.t for m in T.maps], dtype=complex)[:, None]
+    t = np.array([m.t for m in T.maps], dtype=complex)[:, None] / R
     # rho = 2^e <= 1, the power of two nearest the largest |s_i| + |t_i|
-    reach = max(abs(m.s) + abs(m.t) for m in T.maps)
+    reach = max(abs(m.s) + abs(m.t) / R for m in T.maps)
     e = min(0, max(-1000, round(math.log2(reach)))) if reach > 0 else 0
     lead = np.empty((T.ell, W), dtype=complex)  # lead[i, r] = a_i (s_i/rho)^r
     lead[:, :1] = np.array(T.coefficients, dtype=complex)[:, None]
@@ -172,7 +178,11 @@ def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
     tpow = np.zeros((T.ell, 2 * W - 1), dtype=complex)  # (t_i/rho)^j at [i, W-1+j]
     tpow[:, W - 1] = 1.0
     tpow[:, W:] = t * 2.0 ** -e
-    np.cumprod(tpow[:, W - 1:], axis=1, out=tpow[:, W - 1:])
+    # with |t_i| > 4 the powers overflow before j = 511, mostly past the
+    # columns in use; a column in use that overflows is not finite, so the
+    # certificate does not certify and a solve stops with exit 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(tpow[:, W - 1:], axis=1, out=tpow[:, W - 1:])
     # skew[i, r, k] = (t_i/rho)^(k-r), zero below the diagonal
     skew = sliding_window_view(tpow[:, W - K : W - 1 + K], K, axis=1)[:, ::-1, :]
     A = np.zeros((n, n), dtype=complex)
@@ -298,74 +308,75 @@ def analytic_ratio_bound(T: AffineCso, n: int, R: float) -> float:
 
 
 def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
-    """||T z^n||_R / R^n for n = 0..n_max: column n of operator_matrix in
-    l1 with weights R^(r-n), r <= n, which stay <= 1 for R >= 1, so a large
-    R overflows nothing.  Matches basis_image_norm pointwise."""
-    n = n_max + 1
-    rinv = np.zeros(2 * n - 1)  # R^-j at [n-1+j]
-    rinv[n - 1:] = float(R) ** -np.arange(n, dtype=float)
-    weights = sliding_window_view(rinv, n)[::-1]  # R^(r-k) at [r, k]
-    return np.einsum("rk,rk->k", np.abs(operator_matrix(T, n)), weights)
+    """||T z^n||_R / R^n for n = 0..n_max.  Conjugating by z -> R z turns
+    T z^n on D_R into R^n times the same terms with shifts t_i / R on the
+    unit disc, so the ratios are the plain column l1 norms of that
+    operator's matrix.  No power of R is formed, so no weight overflows,
+    however large or small R is.  Matches basis_image_norm pointwise."""
+    return np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
+
+
+@dataclass(frozen=True)
+class ContractionCertificate:
+    """Contraction of T on D_R in the l1 norm.  ratios[n] = ||T z^n||_R / R^n
+    for n <= n_max; tail, the analytic majorant at n_max + 1, bounds every
+    later ratio (inf unless each |s_i| + |t_i|/R <= 1); rate, the sup of
+    both, gives ||Tf||_R <= rate * ||f||_R for all f; every ratio from
+    index N on is below 1 (N is None unless the tail is)."""
+    ratios: tuple[float, ...]
+    tail: float
+    rate: float
+    N: Optional[int]
+
+    @property
+    def is_contraction(self) -> bool:
+        return self.rate < 1.0
+
+
+def contraction_certificate(T: AffineCso, R: float,
+                            n_max: int = 200) -> ContractionCertificate:
+    """The basis-ratio scan of T on D_R up to n_max, then the analytic
+    majorant, which is nonincreasing in n once each |s_i| + |t_i|/R <= 1,
+    then the rate and N.  A ratio that is not finite never certifies."""
+    if not R > 0:
+        raise PreconditionError("radius must be positive")
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
+    ratios = tuple(basis_ratio_scan(T, R, n_max).tolist())
+    tail = math.inf
+    if max(abs(m.s) + abs(m.t) / R for m in T.maps) <= 1.0:
+        tail = analytic_ratio_bound(T, n_max + 1, R)
+    rate = max(max(ratios), tail) if all(map(math.isfinite, ratios)) else math.inf
+    N = None
+    if tail < 1.0:
+        N = next((n + 1 for n in range(n_max, -1, -1) if not ratios[n] < 1.0), 0)
+    return ContractionCertificate(ratios, tail, rate, N)
 
 
 @lru_cache(maxsize=256)
 def certified_contraction_rate(T: AffineCso, R: float, n_max: int = 200) -> float:
-    """Sup over every basis index of ||T z^n||_R / R^n, with the analytic
-    majorant covering n > n_max.  Returns inf when the majorant cannot
-    certify the tail.  ||Tf||_R <= rate * ||f||_R for all f on D_R."""
-    best = float(np.max(basis_ratio_scan(T, R, n_max)))
-    if max(abs(m.s) + abs(m.t) / R for m in T.maps) <= 1.0:
-        return max(best, analytic_ratio_bound(T, n_max + 1, R))
-    return math.inf
+    """contraction_certificate(T, R, n_max).rate, cached: a solve asks for
+    the rate of the same few operators again and again."""
+    return contraction_certificate(T, R, n_max).rate
 
 
 @dataclass(frozen=True)
 class ContractionReport:
     mu: float
     R0: float
-    N: Optional[int]
-    ratios: tuple[float, ...]
-    is_contraction: bool
-    certified_rate: float
-
-    @property
-    def n_max(self) -> int:
-        return len(self.ratios) - 1
+    certificate: ContractionCertificate
 
 
 def contraction_report(T: AffineCso, mu: float, R: float,
                        n_max: int = 200) -> ContractionReport:
-    """Basis-wise contraction scan of T on D_R.
-
-    ratios[n] = ||T z^n||_R / R^n, exact for n <= n_max; indices beyond the
-    scan are covered by the analytic majorant, which is monotone once every
-    |s_i| + |t_i|/R <= 1.  certified_rate is a sup over all n of the ratio
-    (inf when the tail cannot be certified), so ||Tf||_R <= certified_rate
-    * ||f||_R for every f.
-    """
+    """contraction_certificate(T, R, n_max) plus R0, the least radius R
+    with every image disc of D_R inside D_{mu R}."""
     mu = float(mu)
     smax = T.max_rate
     if not (smax < mu <= 1.0):
         raise PreconditionError(f"need max rate {smax} < mu <= 1, got mu={mu}")
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
     R0 = max(abs(m.t) / (mu - abs(m.s)) for m in T.maps)
-    ratios = tuple(float(v) for v in basis_ratio_scan(T, R, n_max))
-    qs = [abs(m.s) + abs(m.t) / R for m in T.maps]
-    if max(qs) <= 1.0:
-        tail = analytic_ratio_bound(T, n_max + 1, R)
-    else:
-        tail = math.inf
-    certified = max(max(ratios), tail)
-    ok = certified < 1.0
-    N: Optional[int] = None
-    if tail < 1.0:
-        N = 0
-        for n in range(n_max, -1, -1):
-            if ratios[n] >= 1.0:
-                N = n + 1
-                break
-    return ContractionReport(mu, R0, N, ratios, ok, certified)
+    return ContractionReport(mu, R0, contraction_certificate(T, R, n_max))
 
 
 def coefficient_power_sum(T: AffineCso, m: int) -> complex:
@@ -389,18 +400,15 @@ def poly_fp_degrees(T: AffineCso, m_max: int, tol: float = REL_TOL) -> PolyDegre
         sigma = coefficient_power_sum(T, m)
         if abs(sigma - 1.0) <= tol * max(1.0, abs(sigma)):
             degrees.append(m)
-    m = 0
-    while True:
-        major = sum(abs(a) * abs(mp.s) ** m for a, mp in T.terms)
-        if major < 1.0 - tol:
-            break
-        m += 1
-    return PolyDegreeScan(tuple(degrees), m)
-
-
-def monomial_matrix(T: AffineCso, m: int) -> np.ndarray:
-    """(m+1)x(m+1) upper-triangular matrix of T on 1, z, ..., z^m."""
-    return operator_matrix(T, m + 1)
+    # least m with induced_norm_bound(T, m) < 1 - tol, by doubling and then
+    # bisection: the bound is >= 1 - tol at lo (or lo = -1), and < at hi
+    lo, hi = -1, 0
+    while not induced_norm_bound(T, hi) < 1.0 - tol:
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if induced_norm_bound(T, mid) < 1.0 - tol else (mid, hi)
+    return PolyDegreeScan(tuple(degrees), hi)
 
 
 def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.ndarray]:
@@ -411,7 +419,7 @@ def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.
     """
     if m < 0:
         raise PreconditionError("degree bound must be >= 0")
-    A = np.eye(m + 1, dtype=complex) - monomial_matrix(T, m)
+    A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
     _, sv, vh = np.linalg.svd(A)
     cut = sv_tol * max(1.0, sv[0] if sv.size else 1.0)
     basis = []

@@ -53,7 +53,8 @@ def _level_maps(depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 np.concatenate([s * sh + t for sh in shifts]))
 
 
-def _kahan(total: complex, comp: complex, x: complex) -> tuple[complex, complex]:
+def _kahan(total, comp, x):
+    """One compensated (Kahan) addition of x; element-wise on arrays."""
     y = x - comp
     t = total + y
     comp = (t - total) - y
@@ -103,10 +104,6 @@ def identity_partial_products(depth: int) -> np.ndarray:
                            (1.0 + OMEGA * (s * C1 + t))))
         out[n] = p
     return out
-
-
-def identity_partial_product(depth: int) -> float:
-    return float(identity_partial_products(depth)[-1])
 
 
 def log_ratio_invariance(z_samples: Iterable[complex]) -> float:
@@ -165,22 +162,13 @@ def figure_data(grid: Sequence[float], depth: int = DEFAULT_DEPTH,
     else:
         rows1 = [one(lv, C1) for lv in levels]
         rows2 = [one(lv, C2) for lv in levels]
-    S1 = np.zeros_like(x)
-    c1 = np.zeros_like(x)
-    S2 = np.zeros_like(x)
-    c2 = np.zeros_like(x)
+    S1 = c1 = S2 = c2 = np.zeros_like(x)
     for r1, r2 in zip(rows1, rows2):
-        y = r1 - c1
-        t = S1 + y
-        c1 = (t - S1) - y
-        S1 = t
-        y = r2 - c2
-        t = S2 + y
-        c2 = (t - S2) - y
-        S2 = t
+        S1, c1 = _kahan(S1, c1, r1)
+        S2, c2 = _kahan(S2, c2, r2)
     e1 = np.exp(S1) * x / (-OMEGA) + 0.0
     e2 = np.exp(S2) * (x - 1.0) / (OMEGA - 1.0) + 0.0
-    pd = identity_partial_product(depth)
+    pd = float(identity_partial_products(depth)[-1])
     removable = (x == 0.0) | (x == 1.0)
     dev = np.zeros_like(x)
     ok = ~removable

@@ -11,14 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-
-if TYPE_CHECKING:
-    from .cso import AffineMap
 
 # Default number of retained coefficients c_0..c_{N-1}.
 DEFAULT_TRUNCATION = 128
@@ -128,20 +125,6 @@ def linear_combine(pairs: Iterable[tuple[complex, DiscSeries]]) -> DiscSeries:
         out[: len(f.coeffs)] += w * f.coeffs
         tail += abs(w) * f.tail_bound
     return DiscSeries(radius, out, tail)
-
-
-def compose_affine(f: DiscSeries, map: "AffineMap", out_radius: float) -> DiscSeries:
-    """Coefficients of f(s z + t) about 0, on D_{out_radius}: the one-term
-    operator f -> f(map(z)) through cso.apply_series.
-
-    Requires the image disc strictly inside the domain disc:
-    |s| * out_radius + |t| < f.radius.  Under that condition the l1 norm of
-    the (polynomial) composition does not exceed the input norm, so the input
-    tail_bound remains a valid bound for the composed discarded tail.
-    """
-    from .cso import AffineCso, apply_series  # cso builds on this module
-
-    return apply_series(AffineCso(((1.0, map),)), f, out_radius)
 
 
 def differentiate(f: DiscSeries, margin: float | None = None) -> DiscSeries:

@@ -23,7 +23,7 @@ from csofix.cso import (
     certified_contraction_rate,
     make_cso,
     map_from_shift,
-    monomial_matrix,
+    operator_matrix,
     pinned,
     poly_fixed_points,
     poly_fp_degrees,
@@ -140,7 +140,7 @@ def test_6_polynomial_fixed_points():
     H = make_cso([(1.0, AffineMap(0.5, 0.0)), (1.0, AffineMap(0.5, 1.0))])
     scan = poly_fp_degrees(H, 50)
     basis = poly_fixed_points(H, 1)
-    A = np.eye(2, dtype=complex) - monomial_matrix(H, 1)
+    A = np.eye(2, dtype=complex) - operator_matrix(H, 2)
     residual = float(np.max(np.abs(A @ basis[0]))) if basis else math.inf
     half_ok = (scan.degrees == (1,) and len(basis) == 1
                and np.allclose(basis[0], [-0.5, 1.0], atol=1e-12)

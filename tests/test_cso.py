@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -19,13 +20,13 @@ from csofix.cso import (
     basis_ratio_scan,
     certified_contraction_rate,
     coefficient_power_sum,
+    contraction_certificate,
     contraction_report,
     fixed_point_independence,
     induced_m,
     induced_norm_bound,
     make_cso,
     map_from_shift,
-    monomial_matrix,
     operator_matrix,
     pinned,
     poly_fixed_points,
@@ -287,21 +288,82 @@ def test_scan_at_large_radius_is_finite():
 def test_contraction_report_golden():
     T = golden_op()
     rep = contraction_report(T, 0.999, 1.9009)
-    assert not rep.is_contraction
-    assert rep.ratios[0] == 2.0
-    assert all(r < 1.0 for r in rep.ratios[1:])
-    assert rep.N == 1
-    assert rep.certified_rate == 2.0
+    cert = rep.certificate
+    assert not cert.is_contraction
+    assert cert.ratios[0] == 2.0
+    assert all(r < 1.0 for r in cert.ratios[1:])
+    assert cert.N == 1
+    assert cert.rate == 2.0
     assert 1.0016 < rep.R0 < 1.0017
     with pytest.raises(PreconditionError):
         contraction_report(T, 0.5, 2.0)
 
 
 def test_contraction_report_pinned():
-    rep = contraction_report(pinned(golden_op(), W), 0.999, 2.0)
-    assert rep.is_contraction and rep.N == 0
-    assert 0.88 < rep.certified_rate < 0.89
-    assert max(rep.ratios) <= rep.certified_rate
+    cert = contraction_report(pinned(golden_op(), W), 0.999, 2.0).certificate
+    assert cert.is_contraction and cert.N == 0
+    assert 0.88 < cert.rate < 0.89
+    assert max(cert.ratios) <= cert.rate
+
+
+# At R = 0.02 the weights R^(r-n) of a weighted scan overflow to inf and
+# meet exact zeros of the matrix, giving nan from index 182 on.
+SMALL_R_TERMS = ((0.5, 0.5, 0.0), (0.3, -0.4, 0.001 / 1.4))
+
+
+def small_r_op():
+    return make_cso([(a, AffineMap(s, fix)) for a, s, fix in SMALL_R_TERMS])
+
+
+@pytest.mark.parametrize("R", [0.02, 0.01])
+def test_scan_at_small_radius_is_finite(R):
+    T = small_r_op()
+    scan = basis_ratio_scan(T, R, 200)
+    assert np.all(np.isfinite(scan))
+    checked = 0
+    for n in range(201):
+        norm = basis_image_norm(T, n, R)
+        if norm < 1e-280:  # the term-by-term reference underflows from here
+            continue
+        assert math.isclose(scan[n], norm / R ** n, rel_tol=1e-12)
+        checked += 1
+    assert checked > 100
+    assert certified_contraction_rate(T, R) == contraction_report(
+        T, 0.999, R).certificate.rate == 0.8
+
+
+def test_rate_and_report_share_one_certificate(rng, monkeypatch):
+    M = golden_op()
+    cases = [(random_tame_cso(rng), 1.0, 60) for _ in range(5)]
+    cases += [(M, 1.9009, 200), (pinned(M, W), 2.0, 200),
+              (induced_m(M, 2), 1.5, 100), (small_r_op(), 0.02, 200)]
+    for T, R, n in cases:
+        cert = contraction_report(T, 0.999, R, n).certificate
+        assert len(cert.ratios) == n + 1
+        assert certified_contraction_rate(T, R, n) == cert.rate
+        assert cert.rate == max(max(cert.ratios), cert.tail)
+    # a ratio that is not finite never certifies, in either view
+    scan = cso.basis_ratio_scan
+
+    def scan_with_nan(T, R, n_max):
+        out = scan(T, R, n_max)
+        out[182:] = np.nan
+        return out
+
+    monkeypatch.setattr(cso, "basis_ratio_scan", scan_with_nan)
+    certified_contraction_rate.cache_clear()
+    try:
+        T = small_r_op()
+        cert = contraction_report(T, 0.999, 0.02).certificate
+        assert cert.rate == math.inf and not cert.is_contraction
+        assert cert.N == 201  # a nan ratio is not below 1
+        assert certified_contraction_rate(T, 0.02) == math.inf
+    finally:
+        certified_contraction_rate.cache_clear()
+    with pytest.raises(PreconditionError):
+        contraction_certificate(M, 0.0)
+    with pytest.raises(PreconditionError):
+        certified_contraction_rate(M, 1.0, 0)
 
 
 def test_certified_rate_is_operator_norm_bound(rng):
@@ -365,12 +427,42 @@ def test_poly_degree_scan():
     assert abs(coefficient_power_sum(golden_op(), 1) + W ** 3) < 1e-15
 
 
+def linear_cutoff(T):
+    m = 0
+    while not induced_norm_bound(T, m) < 1.0 - cso.REL_TOL:
+        m += 1
+    return m
+
+
+def test_poly_cutoff_matches_linear_scan(rng):
+    ops = [golden_op(), half_op()] + [random_tame_cso(rng) for _ in range(10)]
+    for _ in range(30):
+        ell = int(rng.integers(1, 5))
+        ops.append(make_cso([(rand_disc(rng, 3.0), AffineMap(rand_disc(rng, 0.95),
+                                                             rand_disc(rng)))
+                             for _ in range(ell)]))
+    cutoffs = [poly_fp_degrees(T, 3).cutoff for T in ops]
+    assert cutoffs == [linear_cutoff(T) for T in ops]
+    assert max(cutoffs) > 10
+
+
+def test_poly_cutoff_near_one_rate_is_fast():
+    # majorant 2 (1 - 1e-8)^m falls below 1 near m = ln 2 / 1e-8
+    T = make_cso([(2.0, AffineMap(0.99999999, 0.0))])
+    start = time.perf_counter()
+    cutoff = poly_fp_degrees(T, 5).cutoff
+    assert time.perf_counter() - start < 1.0
+    assert 6.9e7 < cutoff < 7.0e7
+    assert induced_norm_bound(T, cutoff) < 1.0 - cso.REL_TOL
+    assert not induced_norm_bound(T, cutoff - 1) < 1.0 - cso.REL_TOL
+
+
 def test_poly_fixed_points_kernel():
     H = half_op()
     basis = poly_fixed_points(H, 1)
     assert len(basis) == 1
     assert np.allclose(basis[0], [-0.5, 1.0], atol=1e-13)
-    A = np.eye(4, dtype=complex) - monomial_matrix(H, 3)
+    A = np.eye(4, dtype=complex) - operator_matrix(H, 4)
     basis = poly_fixed_points(H, 3)
     assert len(basis) == 1
     assert np.max(np.abs(A @ basis[0])) < 1e-12
@@ -395,7 +487,7 @@ def test_poly_fixed_points_planted_large_coefficient():
     assert poly_fp_degrees(T, 80).degrees == (5,)
     basis = poly_fixed_points(T, 80)
     assert len(basis) == 1
-    A = np.eye(81, dtype=complex) - monomial_matrix(T, 80)
+    A = np.eye(81, dtype=complex) - operator_matrix(T, 81)
     assert np.max(np.abs(A @ basis[0])) < 1e-10
     assert abs(basis[0][5] - 1.0) < 1e-15
     assert np.max(np.abs(basis[0][6:])) < 1e-9
@@ -403,7 +495,7 @@ def test_poly_fixed_points_planted_large_coefficient():
 
 def test_monomial_matrix_matches_apply(rng):
     for T in (golden_op(), half_op()):
-        A = monomial_matrix(T, 5)
+        A = operator_matrix(T, 6)
         assert np.allclose(A, np.triu(A))
         for _ in range(10):
             f = random_poly(rng, 2.0, 5)

@@ -17,7 +17,6 @@ from csofix.golden import (
     default_figure_grid,
     figure_data,
     general_a_cso,
-    identity_partial_product,
     identity_partial_products,
     log_ratio_invariance,
     make_M,
@@ -82,7 +81,7 @@ def test_identity_partial_products():
     errs = np.abs(prods - (1.0 + W))
     assert errs[-1] < 1e-4
     assert all(errs[d + 1] < errs[d] for d in range(2, 16))
-    assert identity_partial_product(16) == prods[-1]
+    assert float(identity_partial_products(16)[-1]) == prods[-1]
     with pytest.raises(PreconditionError):
         identity_partial_products(-1)
 

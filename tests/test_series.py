@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_disc, random_poly
-from csofix.cso import AffineMap, map_from_shift
+from csofix.cso import AffineMap, apply_series, make_cso, map_from_shift
 from csofix.errors import PreconditionError
 from csofix.series import (
     DiscSeries,
-    compose_affine,
     differentiate,
     eval_at,
     integrate_from_zero,
@@ -59,7 +58,7 @@ def test_equality_pads_with_zeros():
 
 def test_compose_affine_cube_exact():
     # (0.25 + 0.5 z)^3; every coefficient is an exact binary fraction
-    out = compose_affine(monomial(3, 1.0), map_from_shift(0.5, 0.25), 1.0)
+    out = apply_series(make_cso([(1.0, map_from_shift(0.5, 0.25))]), monomial(3, 1.0), 1.0)
     assert np.array_equal(out.coeffs, [0.015625, 0.09375, 0.1875, 0.125])
     assert out.radius == 1.0 and out.tail_bound == 0.0
 
@@ -69,7 +68,7 @@ def test_compose_affine_matches_convolution(rng):
         s = rand_disc(rng, 0.5) or 0.3
         t = rand_disc(rng, 0.3)
         f = random_poly(rng, 1.0, rng.integers(0, 6))
-        out = compose_affine(f, map_from_shift(s, t), 1.0)
+        out = apply_series(make_cso([(1.0, map_from_shift(s, t))]), f, 1.0)
         expected = np.zeros(len(f.coeffs), dtype=complex)
         power = np.array([1.0 + 0j])
         for c in f.coeffs:
@@ -81,9 +80,9 @@ def test_compose_affine_matches_convolution(rng):
 def test_compose_affine_rejects_escaping_image():
     f = monomial(1, 1.0)
     with pytest.raises(PreconditionError):
-        compose_affine(f, map_from_shift(0.9, 0.3), 1.0)
+        apply_series(make_cso([(1.0, map_from_shift(0.9, 0.3))]), f, 1.0)
     with pytest.raises(PreconditionError):
-        compose_affine(f, map_from_shift(0.5, 0.0), -1.0)
+        apply_series(make_cso([(1.0, map_from_shift(0.5, 0.0))]), f, -1.0)
 
 
 def test_log_affine_mercator_coefficients():
@@ -160,7 +159,7 @@ def test_compose_is_norm_contraction(rng):
         t = rand_disc(rng, 0.3 * R)
         if abs(s) * R + abs(t) >= R or s == 1:
             continue
-        out = compose_affine(f, map_from_shift(s, t), R)
+        out = apply_series(make_cso([(1.0, map_from_shift(s, t))]), f, R)
         assert l1_norm(out) <= l1_norm(f) * (1.0 + 1e-12)
         z = rand_disc(rng, 0.9 * R)
         expected = eval_at(f, s * z + t)

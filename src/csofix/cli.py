@@ -234,9 +234,9 @@ def run_golden_fp(depth: int, tol: float) -> dict:
     result = generalized_seed_fixed_point(T, seed, 2.0, tol)
     rows = []
     worst = 0.0
-    for z in golden.oracle_comparison_points():
+    points = golden.oracle_comparison_points()
+    for z, oracle in zip(points, word_fixed_point(2, depth, points).tolist()):
         engine = eval_singular(result.fixed_point, z)
-        oracle = word_fixed_point(2, depth, z)
         d = abs(engine - oracle)
         worst = max(worst, d)
         rows.append({"z": _c(z), "engine": _c(engine), "oracle": _c(oracle),
@@ -264,11 +264,11 @@ def run_golden_identity(depth: int) -> dict:
     }
 
 
-def run_golden_figure(depth: int, out: str, parallel: bool,
+def run_golden_figure(depth: int, out: str,
                       grid: Optional[np.ndarray] = None) -> dict:
     if grid is None:
         grid = golden.default_figure_grid()
-    table = golden.figure_data(grid, depth, parallel=parallel)
+    table = golden.figure_data(grid, depth)
     lines = ["x,re_exp_f1,re_exp_f2,ratio_dev"]
     lines += [",".join(repr(float(v)) for v in row) for row in table]
     Path(out).write_text("\n".join(lines) + "\n", newline="\n")
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     gfig = gsub.add_parser("figure", help="figure CSV over the default grid")
     common(gfig, config=False)
     gfig.add_argument("--depth", type=int, default=golden.DEFAULT_DEPTH)
-    gfig.add_argument("--parallel", action="store_true")
     gsfs = gsub.add_parser("sfs", help="zero-shear spectrum example")
     common(gsfs, config=False)
     gsfs.add_argument("--depth", type=int, default=3,
@@ -383,7 +382,7 @@ def _dispatch(args, argv: Sequence[str]) -> tuple[dict, Optional[str]]:
             outputs = run_polyfix(cfg, args.depth)
         return _report(argv, digest, outputs, started), args.out
     # golden family: no config file; digest the parameters the subcommand
-    # reads (--parallel changes how figure computes, not what)
+    # reads
     params = {"cmd": args.gcmd, "depth": args.depth}
     if args.gcmd == "fp":
         params["tol"] = args.tol
@@ -396,7 +395,7 @@ def _dispatch(args, argv: Sequence[str]) -> tuple[dict, Optional[str]]:
         return _report(argv, digest, outputs, started), args.out
     if args.gcmd == "figure":
         out = args.out or "golden_figure.csv"
-        outputs = run_golden_figure(args.depth, out, args.parallel)
+        outputs = run_golden_figure(args.depth, out)
         return _report(argv, digest, outputs, started), None
     outputs = run_golden_sfs(args.depth)
     return _report(argv, digest, outputs, started), args.out

@@ -189,8 +189,9 @@ def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
     block = A[:K, :K]
     np.einsum("ir,irk->rk", lead[:, :K], skew, out=block)
     binom = _binomial_table(K)
-    block.real *= binom
-    block.imag *= binom
+    with np.errstate(over="ignore"):  # the same overflow, met later
+        block.real *= binom
+        block.imag *= binom
     if e:
         rho_k = np.ldexp(1.0, e * np.arange(K))
         block.real *= rho_k
@@ -420,6 +421,10 @@ def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.
     if m < 0:
         raise PreconditionError("degree bound must be >= 0")
     A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
+    finite = np.isfinite(A).all(axis=0)
+    if not finite.all():
+        raise PreconditionError(
+            f"operator matrix overflows float64 at degree {np.argmin(finite)}")
     _, sv, vh = np.linalg.svd(A)
     cut = sv_tol * max(1.0, sv[0] if sv.size else 1.0)
     basis = []

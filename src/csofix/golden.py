@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -61,35 +60,60 @@ def _kahan(total, comp, x):
     return t, comp
 
 
-def word_fixed_point(which: int, depth: int, z: complex) -> complex:
-    """Partial sum of the explicit fixed point with a log singularity at 0
-    (which=1, vanishing at -w) or at 1 (which=2, vanishing at w).
+def _word_log_sums(points: np.ndarray, refs: Sequence[float],
+                   depth: int) -> np.ndarray:
+    """Sum over the words w of length <= depth of log1p(w phi_w(p)) minus
+    the same sum at the reference r: one row per r, one column per point p.
 
-    Each word contributes log(1 + w phi_word(z)) minus the same term at the
-    reference point, principal branch termwise.
+    Points and references are evaluated together, chunked over words; the
+    chunk sums are differenced, so the level totals stay small, and each
+    level is Kahan-added.  The logs are real for a real array of points and
+    principal-branch complex otherwise.  A point where some 1 + w phi_w(p)
+    is real and <= 0 (a branch point, or on the principal log's cut) is
+    rejected.
     """
-    z = complex(z)
-    if which == 1:
-        if z == 0:
-            raise PreconditionError("singular evaluation point 0")
-        lead = cmath.log(z / (-OMEGA))
-        ref = -OMEGA
-    elif which == 2:
-        if z == 1:
-            raise PreconditionError("singular evaluation point 1")
-        lead = cmath.log((z - 1.0) / (OMEGA - 1.0))
-        ref = OMEGA
-    else:
-        raise PreconditionError("which must be 1 or 2")
-    total, comp = lead, 0j
+    n = points.size
+    pts = np.concatenate([points, np.asarray(refs, dtype=points.dtype)])
+    total = comp = np.zeros((len(refs), n), dtype=points.dtype)
     for s, t in _level_maps(depth):
-        args = 1.0 + OMEGA * (s * z + t)
-        if np.any(args == 0):
-            raise PreconditionError(f"word singularity hit at z={z}")
-        level = complex(np.sum(np.log(args.astype(complex))))
-        level -= complex(np.sum(np.log1p(OMEGA * (s * ref + t))))
+        level = np.zeros_like(total)
+        for lo in range(0, s.size, _CHUNK):
+            args = np.multiply.outer(pts, s[lo:lo + _CHUNK])
+            args += t[lo:lo + _CHUNK]
+            args *= OMEGA  # last, as (w s) p + w t rounds further from exact
+            on_cut = args.real <= -1.0
+            if np.iscomplexobj(args):
+                on_cut &= args.imag == 0.0
+            if np.any(on_cut):
+                bad = pts[np.argmax(np.any(on_cut, axis=1))]
+                raise PreconditionError(
+                    f"word log at {bad} is singular or on its branch cut")
+            sums = np.sum(np.log1p(args, out=args), axis=1)
+            level += sums[:n] - sums[n:, None]
         total, comp = _kahan(total, comp, level)
     return total
+
+
+def word_fixed_point(which: int, depth: int,
+                     z: complex | Sequence[complex]) -> complex | np.ndarray:
+    """Partial sum of the explicit fixed point with a log singularity at 0
+    (which=1, vanishing at -w) or at 1 (which=2, vanishing at w): a complex
+    at the point z, or an array with one value per point of the array z.
+
+    Each word contributes log(1 + w phi_word(z)) minus the same term at the
+    reference point, principal branch termwise; a point where some word's
+    1 + w phi_word(z) is real and <= 0 is rejected.  An array costs one
+    pass over the words, and each value is bit-equal to its scalar call.
+    """
+    if which not in (1, 2):
+        raise PreconditionError("which must be 1 or 2")
+    pole, ref = (0.0, C1) if which == 1 else (1.0, C2)
+    pts = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(pts == pole):
+        raise PreconditionError(f"singular evaluation point {pole:g}")
+    total = (np.log((pts - pole) / (ref - pole))
+             + _word_log_sums(pts, (ref,), depth)[0])
+    return complex(total[0]) if np.ndim(z) == 0 else total
 
 
 def identity_partial_products(depth: int) -> np.ndarray:
@@ -125,21 +149,6 @@ def log_ratio_invariance(z_samples: Iterable[complex]) -> float:
     return worst
 
 
-def _level_row_sums(x: np.ndarray, s: np.ndarray, t: np.ndarray,
-                    ref: float) -> np.ndarray:
-    """Sum over a level's words of log(1+w phi(x)) - log(1+w phi(ref)),
-    vectorized over the real grid x, chunked to bound memory."""
-    acc = np.zeros_like(x)
-    for lo in range(0, s.size, _CHUNK):
-        sw, tw = s[lo:lo + _CHUNK], t[lo:lo + _CHUNK]
-        args = OMEGA * (x[:, None] * sw[None, :] + tw[None, :])
-        if np.any(args <= -1.0):
-            raise PreconditionError("grid point escapes the log domain")
-        acc += np.sum(np.log1p(args), axis=1)
-        acc -= float(np.sum(np.log1p(OMEGA * (sw * ref + tw))))
-    return acc
-
-
 def figure_data(grid: Sequence[float], depth: int = DEFAULT_DEPTH,
                 parallel: bool = False) -> np.ndarray:
     """Rows (x, Re exp f1, Re exp f2, ratio_dev) over a real grid.
@@ -148,24 +157,10 @@ def figure_data(grid: Sequence[float], depth: int = DEFAULT_DEPTH,
     removable zeros at x = 0 (f1) and x = 1 (f2) come out exactly 0.
     ratio_dev checks exp f1 / exp f2 = x/(x-1) * w * P_depth; it is set to 0
     at the removable points where the quotient form degenerates.
+    `parallel` is accepted and ignored: the grid is summed in one pass.
     """
     x = np.asarray(grid, dtype=float)
-    levels = list(_level_maps(depth))
-
-    def one(level, ref):
-        return _level_row_sums(x, level[0], level[1], ref)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows1 = list(pool.map(lambda lv: one(lv, C1), levels))
-            rows2 = list(pool.map(lambda lv: one(lv, C2), levels))
-    else:
-        rows1 = [one(lv, C1) for lv in levels]
-        rows2 = [one(lv, C2) for lv in levels]
-    S1 = c1 = S2 = c2 = np.zeros_like(x)
-    for r1, r2 in zip(rows1, rows2):
-        S1, c1 = _kahan(S1, c1, r1)
-        S2, c2 = _kahan(S2, c2, r2)
+    S1, S2 = _word_log_sums(x, (C1, C2), depth)
     e1 = np.exp(S1) * x / (-OMEGA) + 0.0
     e2 = np.exp(S2) * (x - 1.0) / (OMEGA - 1.0) + 0.0
     pd = float(identity_partial_products(depth)[-1])

@@ -103,12 +103,11 @@ def test_3_engine_matches_word_oracle():
     started = time.perf_counter()
     Mc = pinned(make_M(), C2)
     res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
-    worst = 0.0
-    for z in oracle_comparison_points():
-        worst = max(worst, abs(eval_singular(res.fixed_point, z)
-                               - word_fixed_point(2, 18, z)))
+    pts = oracle_comparison_points()
+    *oracle, oracle_at_w = word_fixed_point(2, 18, pts + (W,))
+    worst = max(abs(eval_singular(res.fixed_point, z) - o) for z, o in zip(pts, oracle))
     engine_pin = abs(eval_singular(res.fixed_point, W))
-    oracle_pin = abs(word_fixed_point(2, 18, W))
+    oracle_pin = abs(oracle_at_w)
     elapsed = time.perf_counter() - started
     _verdict(3, "seeded fixed point vs word expansion",
              worst < 1e-6 and engine_pin < 1e-6 and oracle_pin < 1e-6

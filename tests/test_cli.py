@@ -255,6 +255,19 @@ def test_polyfix_command(capsys, tmp_path):
     assert report["outputs"]["degrees"] == []
 
 
+def test_polyfix_overflowing_matrix_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({
+        "radius": 2.0,
+        "terms": [{"a": [0.5, 0], "s": [0.5, 0], "fix": [10, 0]},
+                  {"a": [0.3, 0], "s": [0.2, 0], "fix": [0, 0]}],
+    }))
+    code, report, err = run_cli(capsys, "polyfix", "--config", str(cfg),
+                                "--depth", "500")
+    assert code == 2 and report is None
+    assert "operator matrix overflows float64 at degree 419" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -271,6 +284,7 @@ def test_missing_subcommand_is_usage_error(capsys):
     ["golden", "fp", "--radius", "1.5"],
     ["golden", "identity", "--tol", "1e-3"],
     ["golden", "figure", "--radius", "1.5"],
+    ["golden", "figure", "--parallel"],
     ["golden", "sfs", "--parallel"],
 ])
 def test_ignored_flags_are_rejected(capsys, argv):

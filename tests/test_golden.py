@@ -1,6 +1,8 @@
+import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,9 +115,55 @@ def test_figure_data_identity():
         figure_data([-3.0], 2)
 
 
-def test_figure_parallel_matches_sequential():
-    grid = default_figure_grid()
-    assert np.array_equal(figure_data(grid, 8), figure_data(grid, 8, parallel=True))
+def _mp_word_sum(which, depth, z):
+    """word_fixed_point in 40-digit arithmetic, every word's map composed
+    exactly from w."""
+    with mp.workdps(40):
+        w = (mp.sqrt(5) - 1) / 2
+        ref, z = (-w if which == 1 else w), mp.mpc(z)
+        total = mp.log(z / ref) if which == 1 else mp.log((z - 1) / (ref - 1))
+        level = [(mp.mpf(1), mp.mpf(0))]
+        for _ in range(depth + 1):
+            total += mp.fsum(mp.log(1 + w * (s * z + t)) - mp.log(1 + w * (s * ref + t))
+                             for s, t in level)
+            level = [(s * a, s * b + t) for s, t in level
+                     for a, b in ((-w, 0), (w * w, w))]
+        return complex(total)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_word_fixed_point_matches_mpmath(which):
+    for z in (0.3 + 0.4j, -0.7 - 0.2j, 1.1 + 0.05j):
+        assert abs(word_fixed_point(which, 10, z) - _mp_word_sum(which, 10, z)) < 1e-12
+
+
+def test_word_sums_batch_bit_equal_to_scalar_calls():
+    pts = oracle_comparison_points() + (0.25 - 0.5j, -1.2)
+    for which in (1, 2):
+        batch = word_fixed_point(which, 12, pts)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
+        scalar = [word_fixed_point(which, 12, z) for z in pts]
+        assert all(type(v) is complex for v in scalar)
+        assert np.array_equal(batch, scalar)
+
+
+def test_figure_columns_match_scalar_sums():
+    grid = np.array([-1.4, -0.75, -0.2, 0.35, 0.9, 1.3])
+    table = figure_data(grid, 10)
+    for x, e1, e2 in table[:, :3]:
+        assert math.isclose(e1, cmath.exp(word_fixed_point(1, 10, x)).real, rel_tol=1e-12)
+        assert math.isclose(e2, cmath.exp(word_fixed_point(2, 10, x)).real, rel_tol=1e-12)
+
+
+def test_word_sums_share_one_domain_rule():
+    # 1 + w phi(-3) < 0 for the empty word: real and on the principal log's cut
+    for call in (lambda: word_fixed_point(1, 2, -3.0),
+                 lambda: word_fixed_point(2, 2, [0.5j, -3.0]),
+                 lambda: figure_data([-3.0], 2)):
+        with pytest.raises(PreconditionError, match="branch cut"):
+            call()
+    # off the real axis the same point is fine
+    assert math.isfinite(abs(word_fixed_point(1, 2, -3.0 + 0.1j)))
 
 
 def test_sfs_spectrum():

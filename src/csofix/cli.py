@@ -72,8 +72,8 @@ def parse_config(text: str) -> OperatorConfig:
     if "radius" not in doc:
         raise PreconditionError("config missing required field 'radius'")
     radius = doc["radius"]
-    if not isinstance(radius, (int, float)) or not radius > 0:
-        raise PreconditionError(f"radius: expected positive number, got {radius!r}")
+    if not isinstance(radius, (int, float)) or not 0 < radius < math.inf:
+        raise PreconditionError(f"radius: expected finite number > 0, got {radius!r}")
     raw_terms = doc.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise PreconditionError("config needs a nonempty 'terms' list")
@@ -196,22 +196,14 @@ def run_fixpoint(cfg: OperatorConfig, kind: str, location: complex, order: int,
     R = cfg.radius if radius is None else radius
     term = _seed_term(kind, location, order)
     n_terms = cfg.truncation
-    if route == "direct":
-        result = seeded_fixed_point(T, make_seed(T, term), R, tol,
-                                    n_terms=n_terms)
-    elif route == "generalized":
-        result = generalized_seed_fixed_point(T, make_seed(T, term), R, tol,
-                                              n_terms=n_terms)
+    if route in ("direct", "generalized"):
+        solve = seeded_fixed_point if route == "direct" else generalized_seed_fixed_point
+        result = solve(T, make_seed(T, term), R, tol, n_terms=n_terms)
     elif route == "derivative":
-        v = None
-        for i, (_, m) in enumerate(T.terms):
-            if abs(m.z_fix - location) <= 1e-12 * max(1.0, abs(location)):
-                v = i
-                break
+        v = next((i for i, m in enumerate(T.maps) if m.fixes(location)), None)
         if v is None:
             raise PreconditionError(f"no map fixes seed location {location}")
-        result = derivative_route_fixed_point(T, v, order, R, tol,
-                                              n_terms=n_terms)
+        result = derivative_route_fixed_point(T, v, order, R, tol, n_terms=n_terms)
     else:
         raise PreconditionError(f"unknown route {route!r}")
     f = result.fixed_point

@@ -59,6 +59,10 @@ class AffineMap:
     def __call__(self, z: complex) -> complex:
         return self.s * complex(z) + self.t
 
+    def fixes(self, z: complex) -> bool:
+        """True when z is this map's fixed point, within REL_TOL * max(1, |z|)."""
+        return abs(self.z_fix - z) <= REL_TOL * max(1.0, abs(z))
+
 
 def map_from_shift(s: complex, t: complex) -> AffineMap:
     """Map z -> s z + t written in fixed-point form (needs s != 1)."""
@@ -170,7 +174,7 @@ def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
     t = np.array([m.t for m in T.maps], dtype=complex)[:, None] / R
     # rho = 2^e <= 1, the power of two nearest the largest |s_i| + |t_i|
     reach = max(abs(m.s) + abs(m.t) / R for m in T.maps)
-    e = min(0, max(-1000, round(math.log2(reach)))) if reach > 0 else 0
+    e = max(-1000, round(math.log2(reach))) if 0 < reach < 1 else 0
     lead = np.empty((T.ell, W), dtype=complex)  # lead[i, r] = a_i (s_i/rho)^r
     lead[:, :1] = np.array(T.coefficients, dtype=complex)[:, None]
     lead[:, 1:] = s * 2.0 ** -e
@@ -254,7 +258,6 @@ def apply_singular(
     *,
     on_interior: str = "error",
     margin: float = 0.0,
-    drop_tol: float = 0.0,
     n_terms: int = DEFAULT_TRUNCATION,
     matrix: Optional[np.ndarray] = None,
 ) -> SingularFunction:
@@ -280,8 +283,7 @@ def apply_singular(
                                margin=margin, n_terms=n_terms)
             weighted.extend((a, t) for t in pb.terms)
             regular_parts.append((a, pb.regular))
-    merged = merge_terms(weighted, drop_below=drop_tol)
-    return SingularFunction(merged, linear_combine(regular_parts))
+    return SingularFunction(merge_terms(weighted), linear_combine(regular_parts))
 
 
 def basis_image_norm(T: AffineCso, n: int, R: float) -> float:
@@ -314,7 +316,9 @@ def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
     unit disc, so the ratios are the plain column l1 norms of that
     operator's matrix.  No power of R is formed, so no weight overflows,
     however large or small R is.  Matches basis_image_norm pointwise."""
-    return np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
+    # t_i / R overflows at a subnormal R; ratios that are not finite never certify
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -339,8 +343,8 @@ def contraction_certificate(T: AffineCso, R: float,
     """The basis-ratio scan of T on D_R up to n_max, then the analytic
     majorant, which is nonincreasing in n once each |s_i| + |t_i|/R <= 1,
     then the rate and N.  A ratio that is not finite never certifies."""
-    if not R > 0:
-        raise PreconditionError("radius must be positive")
+    if not 0 < R < math.inf:
+        raise PreconditionError("radius must be positive and finite")
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     ratios = tuple(basis_ratio_scan(T, R, n_max).tolist())
@@ -390,8 +394,8 @@ class PolyDegreeScan:
     cutoff: int
 
 
-def poly_fp_degrees(T: AffineCso, m_max: int, tol: float = REL_TOL) -> PolyDegreeScan:
-    """Degrees m <= m_max where sum_i a_i s_i^m = 1 holds within tol, plus the
+def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
+    """Degrees m <= m_max where sum_i a_i s_i^m = 1 holds within REL_TOL, plus the
     cutoff: the least m with sum_i |a_i||s_i|^m < 1, beyond which the relation
     can never hold again (the majorant is nonincreasing in m)."""
     if m_max < 0:
@@ -399,20 +403,20 @@ def poly_fp_degrees(T: AffineCso, m_max: int, tol: float = REL_TOL) -> PolyDegre
     degrees = []
     for m in range(m_max + 1):
         sigma = coefficient_power_sum(T, m)
-        if abs(sigma - 1.0) <= tol * max(1.0, abs(sigma)):
+        if abs(sigma - 1.0) <= REL_TOL * max(1.0, abs(sigma)):
             degrees.append(m)
-    # least m with induced_norm_bound(T, m) < 1 - tol, by doubling and then
-    # bisection: the bound is >= 1 - tol at lo (or lo = -1), and < at hi
+    # least m with induced_norm_bound(T, m) < 1 - REL_TOL, by doubling and
+    # then bisection: the bound is >= 1 - REL_TOL at lo (or lo = -1), < at hi
     lo, hi = -1, 0
-    while not induced_norm_bound(T, hi) < 1.0 - tol:
+    while not induced_norm_bound(T, hi) < 1.0 - REL_TOL:
         lo, hi = hi, max(1, 2 * hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if induced_norm_bound(T, mid) < 1.0 - tol else (mid, hi)
+        lo, hi = (lo, mid) if induced_norm_bound(T, mid) < 1.0 - REL_TOL else (mid, hi)
     return PolyDegreeScan(tuple(degrees), hi)
 
 
-def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.ndarray]:
+def poly_fixed_points(T: AffineCso, m: int) -> list[np.ndarray]:
     """Basis of the kernel of (I - T) on polynomials of degree <= m.
 
     Coefficient vectors are returned lowest degree first, scaled so the
@@ -426,7 +430,7 @@ def poly_fixed_points(T: AffineCso, m: int, sv_tol: float = SVD_TOL) -> list[np.
         raise PreconditionError(
             f"operator matrix overflows float64 at degree {np.argmin(finite)}")
     _, sv, vh = np.linalg.svd(A)
-    cut = sv_tol * max(1.0, sv[0] if sv.size else 1.0)
+    cut = SVD_TOL * max(1.0, sv[0] if sv.size else 1.0)
     basis = []
     for k in range(m, -1, -1):
         if sv[k] <= cut:
@@ -522,18 +526,17 @@ class PointVerdict:
     reason: str = ""
 
 
-def simplicity_check(T: AffineCso, points: Iterable[complex],
-                     tol: float = REL_TOL) -> tuple[PointVerdict, ...]:
+def simplicity_check(T: AffineCso, points: Iterable[complex]) -> tuple[PointVerdict, ...]:
     """Per-point verdicts: a point passes iff exactly one map fixes it and
     every other map sends it off the set."""
     pts = sorted({complex(p) for p in points}, key=lambda z: (z.real, z.imag))
 
     def near(u, v):
-        return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
+        return abs(u - v) <= REL_TOL * max(1.0, abs(u), abs(v))
 
     out = []
     for p in pts:
-        fixed = tuple(k for k, (_, m) in enumerate(T.terms) if near(m(p), p))
+        fixed = tuple(k for k, m in enumerate(T.maps) if m.fixes(p))
         if len(fixed) != 1:
             out.append(PointVerdict(p, False, fixed,
                                     f"{p} fixed by {len(fixed)} maps"))
@@ -556,18 +559,16 @@ class SeedVerdict:
     required: complex
 
 
-def seed_admissibility(T: AffineCso, term: SingularTerm,
-                       tol: float = REL_TOL) -> SeedVerdict:
+def seed_admissibility(T: AffineCso, term: SingularTerm) -> SeedVerdict:
     """A log seed at the fixed point of map i needs a_i = 1; a pole of order
     k needs a_i = s_i^k.  The location must be fixed by exactly one map."""
     z0 = term.location
-    fixed = [k for k, (_, m) in enumerate(T.terms)
-             if abs(m.z_fix - z0) <= tol * max(1.0, abs(z0))]
+    fixed = [k for k, m in enumerate(T.maps) if m.fixes(z0)]
     if len(fixed) != 1:
         raise PreconditionError(
             f"seed location {z0} is fixed by {len(fixed)} maps, need exactly 1")
     i = fixed[0]
     a, m = T.terms[i]
     required = 1.0 + 0j if term.kind == "log" else m.s ** term.order
-    ok = abs(a - required) <= tol * max(1.0, abs(required))
+    ok = abs(a - required) <= REL_TOL * max(1.0, abs(required))
     return SeedVerdict(ok, i, a, required)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .cso import (
+    REL_TOL,
     AffineCso,
     apply_singular,
     certified_contraction_rate,
@@ -49,8 +50,8 @@ from .singular import (
 )
 
 REG_MARGIN = 1e-6
-CANCEL_TOL = 1e-12
-DEFAULT_MAX_ITER = 50_000
+MAX_ITER = 50_000  # Neumann iterations before exit 3
+K_MAX = 8  # stabilization steps before the generalized route gives up
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class FixedPointResult:
     route: Route
 
 
-def make_seed(T: AffineCso, term: SingularTerm, tol: float = CANCEL_TOL) -> SeedSpec:
-    v = seed_admissibility(T, term, tol)
+def make_seed(T: AffineCso, term: SingularTerm) -> SeedSpec:
+    v = seed_admissibility(T, term)
     if not v.admissible:
         raise AdmissibilityError(
             f"seed {term.kind} at {term.location}: operator coefficient "
@@ -88,19 +89,34 @@ def make_seed(T: AffineCso, term: SingularTerm, tol: float = CANCEL_TOL) -> Seed
     return SeedSpec(term, v.index)
 
 
-def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float,
-                    max_iter: int = DEFAULT_MAX_ITER) -> DiscSeries:
+def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSeries:
     """Solve (I - T) h = g on D_R by summing T^n g.
 
     Stops once the increment norm drops below tol*(1 - K), K the certified
     contraction rate, so the residual bound ||(I-T)h - g|| < tol holds.
     """
-    return _neumann(T, g, R, tol, max_iter)[0]
+    return _neumann(T, g, R, tol)[0]
+
+
+def _weights(R: float, n: int, tol: float) -> np.ndarray:
+    """The l1 weights R^k, k < n, of a series on D_R, checked with tol
+    before any matrix is built: a tol that is not positive and finite is
+    never met or cannot be reported, and an R^k that overflows would make
+    every norm 0 * inf = nan, so no loop could stop."""
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError("tolerance must be positive and finite")
+    with np.errstate(over="ignore"):
+        rpow = R ** np.arange(n, dtype=float)
+    if not np.isfinite(rpow[-1]):
+        raise PreconditionError(
+            f"truncation N={n} is too long for D_{R}: R^n overflows "
+            f"for n >= {int(np.argmax(np.isinf(rpow)))}")
+    return rpow
 
 
 def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
-             max_iter: int, matrix: Optional[np.ndarray] = None
-             ) -> tuple[DiscSeries, int]:
+             matrix: Optional[np.ndarray] = None) -> tuple[DiscSeries, int]:
+    rpow = _weights(R, g.coeffs.size, tol)
     # increment slack is tightened to K times the previous slack, which the
     # certified rate justifies; the raw per-term bound compounds by sum|a_i|
     K = certified_contraction_rate(T, R)
@@ -108,14 +124,6 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
     stop = tol * (1.0 - K)
     g = DiscSeries(R, g.coeffs, g.tail_bound)
-    with np.errstate(over="ignore"):
-        rpow = R ** np.arange(g.coeffs.size, dtype=float)
-    if not np.isfinite(rpow[-1]):
-        # 0 * inf would make every increment norm nan, so the loop could
-        # never stop
-        raise PreconditionError(
-            f"truncation N={rpow.size} is too long for D_{R}: R^n overflows "
-            f"for n >= {int(np.argmax(np.isinf(rpow)))}")
     # every term lives on D_R, so the image check of apply_series is the same
     # on each iteration and is made once; the loop runs on raw arrays and
     # keeps the finiteness check a DiscSeries makes of each new term
@@ -124,7 +132,7 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
     term, tail = g.coeffs, g.tail_bound
     total = np.zeros(term.size, dtype=complex)
     total_tail = 0.0
-    for n in range(max_iter):
+    for n in range(MAX_ITER):
         if float(np.abs(term) @ rpow) + tail < stop:
             # nothing summed at n = 0: the one-coefficient zero series
             return DiscSeries(R, total if n else total[:1], total_tail), n
@@ -135,87 +143,92 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
             raise PreconditionError("series coefficients must be finite")
         tail = K * tail
     raise ConvergenceError(
-        f"Neumann series did not reach {tol} in {max_iter} iterations "
+        f"Neumann series did not reach {tol} in {MAX_ITER} iterations "
         f"(rate {K:.6f}, last increment {float(np.abs(term) @ rpow) + tail:.3e})")
-
-
-def _regular_diff_norm(a: SingularFunction, b: SingularFunction) -> float:
-    return l1_norm(linear_combine([(1.0, a.regular), (-1.0, b.regular)]))
 
 
 def _term_diff(a: SingularFunction, b: SingularFunction) -> tuple:
     scale = max([1.0] + [abs(t.weight) for t in a.terms + b.terms])
     parts = [(1.0, t) for t in a.terms] + [(-1.0, t) for t in b.terms]
-    return merge_terms(parts, drop_below=CANCEL_TOL * scale)
+    return merge_terms(parts, drop_below=REL_TOL * scale)
 
 
-def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int) -> np.ndarray:
+def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int,
+                  tol: float) -> np.ndarray:
     """operator_matrix of T at the largest length a solve from f meets:
     pullbacks expand to max(n_terms, 2) coefficients and T never lengthens a
-    series, so every application in the solve uses a leading block."""
-    return operator_matrix(T, max(int(n_terms), 2, f.regular.coeffs.size))
+    series, so every application in the solve uses a leading block.  tol
+    and the weights at that length are checked first."""
+    n = max(int(n_terms), 2, f.regular.coeffs.size)
+    _weights(f.radius, n, tol)
+    return operator_matrix(T, n)
 
 
-def _finish(T: AffineCso, f0: SingularFunction, R: float, tol: float,
-            max_iter: int, route: Route, *, on_interior: str,
-            n_terms: int, matrix: np.ndarray) -> FixedPointResult:
-    """Common tail of the direct and generalized routes: f0 with stable
-    singular terms becomes f0 - N(f0 - T f0)."""
-    Tf0 = apply_singular(T, f0, on_interior=on_interior, margin=REG_MARGIN,
-                         n_terms=n_terms, matrix=matrix)
-    leftovers = _term_diff(Tf0, f0)
-    if leftovers:
-        raise PreconditionError(
-            f"remainder not regular on D_{R}: uncancelled {leftovers[0].kind} term "
-            f"at {leftovers[0].location} (weight {leftovers[0].weight})")
-    gbar = linear_combine([(1.0, f0.regular), (-1.0, Tf0.regular)])
-    u, iters = _neumann(T, gbar, R, tol, max_iter, matrix)
-    fstar = SingularFunction(
-        f0.terms, linear_combine([(1.0, f0.regular), (-1.0, u)]))
-    Tfs = apply_singular(T, fstar, on_interior=on_interior, margin=REG_MARGIN,
-                         n_terms=n_terms, matrix=matrix)
-    if _term_diff(Tfs, fstar):
+def _residual(T: AffineCso, f: SingularFunction, tol: float, *,
+              on_interior: str, n_terms: int, matrix: np.ndarray) -> float:
+    """||T f - f||_R; exit 3 unless T keeps f's singular terms and it is < tol."""
+    Tf = apply_singular(T, f, on_interior=on_interior, margin=REG_MARGIN,
+                        n_terms=n_terms, matrix=matrix)
+    if _term_diff(Tf, f):
         raise ConvergenceError("fixed point lost singular-term cancellation")
-    residual = _regular_diff_norm(Tfs, fstar)
+    residual = l1_norm(linear_combine([(1.0, Tf.regular), (-1.0, f.regular)]))
     if not residual < tol:
         raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
+    return residual
+
+
+def _finish(T: AffineCso, f0: SingularFunction, Tf0: SingularFunction,
+            tol: float, route: Route, *, on_interior: str,
+            n_terms: int, matrix: np.ndarray) -> FixedPointResult:
+    """Common tail of the direct and generalized routes: f0, whose singular
+    terms T f0 reproduces, becomes f0 - N(f0 - T f0)."""
+    gbar = linear_combine([(1.0, f0.regular), (-1.0, Tf0.regular)])
+    u, iters = _neumann(T, gbar, f0.radius, tol, matrix)
+    fstar = SingularFunction(f0.terms, linear_combine([(1.0, f0.regular), (-1.0, u)]))
+    residual = _residual(T, fstar, tol, on_interior=on_interior,
+                         n_terms=n_terms, matrix=matrix)
     return FixedPointResult(fstar, residual, iters, route)
 
 
 def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
                        R: float, tol: float,
-                       max_iter: int = DEFAULT_MAX_ITER,
                        n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
     """Direct route: requires f0 - T f0 already regular on D_R, which holds
     when every non-owning map sends the seed location outside its image."""
     f0 = _as_function(seed, R)
-    return _finish(T, f0, R, tol, max_iter, DIRECT, on_interior="error",
-                   n_terms=n_terms, matrix=_solve_matrix(T, f0, n_terms))
+    A = _solve_matrix(T, f0, n_terms, tol)
+    Tf0 = apply_singular(T, f0, on_interior="error", margin=REG_MARGIN,
+                         n_terms=n_terms, matrix=A)
+    leftovers = _term_diff(Tf0, f0)
+    if leftovers:
+        raise PreconditionError(
+            f"remainder not regular on D_{R}: uncancelled {leftovers[0].kind} term "
+            f"at {leftovers[0].location} (weight {leftovers[0].weight})")
+    return _finish(T, f0, Tf0, tol, DIRECT, on_interior="error",
+                   n_terms=n_terms, matrix=A)
 
 
 def generalized_seed_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
-                                 R: float, tol: float, k_max: int = 8,
-                                 max_iter: int = DEFAULT_MAX_ITER,
+                                 R: float, tol: float,
                                  n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
-    """Iterate g <- T g until the singular terms stabilize (least k with
-    terms(T^{k+1} g) = terms(T^k g)), then finish like the direct route.
-    Relocated singularities are tracked exactly, so the stabilized term set
-    may be larger than the seed's."""
+    """Iterate g <- T g until the singular terms stabilize (least k <= K_MAX
+    with terms(T^{k+1} g) = terms(T^k g)), then finish like the direct route
+    from g and that T g.  Relocated singularities are tracked exactly, so the
+    stabilized term set may be larger than the seed's."""
     g = _as_function(seed, R)
-    A = _solve_matrix(T, g, n_terms)
-    for k in range(k_max + 1):
+    A = _solve_matrix(T, g, n_terms, tol)
+    for k in range(K_MAX + 1):
         g_next = apply_singular(T, g, on_interior="relocate", margin=REG_MARGIN,
                                 n_terms=n_terms, matrix=A)
         if not _term_diff(g_next, g):
-            return _finish(T, g, R, tol, max_iter, Route("generalized_seed", k),
+            return _finish(T, g, g_next, tol, Route("generalized_seed", k),
                            on_interior="relocate", n_terms=n_terms, matrix=A)
         g = g_next
     raise PreconditionError(
-        f"singular terms never stabilized within k <= {k_max}")
+        f"singular terms never stabilized within k <= {K_MAX}")
 
 
 def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: float,
-                                 max_iter: int = DEFAULT_MAX_ITER,
                                  n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
     """Log-type fixed point at the fixed point of map i, built by fixing the
     m-th derivative.
@@ -228,9 +241,8 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
         raise PreconditionError("derivative order must be >= 1")
     if not (0 <= i < T.ell):
         raise PreconditionError(f"term index {i} out of range")
-    a_i, map_i = T.terms[i]
-    if abs(a_i - 1.0) > CANCEL_TOL:
-        raise PreconditionError(f"coefficient {a_i} of owning map must be 1")
+    z_i = T.maps[i].z_fix
+    make_seed(T, log_term(z_i))  # a_i = 1
     if not fixed_point_independence(T, i, R):
         raise PreconditionError(
             f"fixed point of map {i} is not independent on D_{R}")
@@ -240,16 +252,15 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
             f"polynomial fixed points exist at degrees {scan.degrees}; "
             "correction solve would be singular")
     Tm = induced_m(T, m)
-    z_i = map_i.z_fix
     weight = math.factorial(m - 1) * (-1.0) ** (m - 1)
     seed = make_seed(Tm, pole_term(z_i, m, weight))
     inner_tol = tol / (4.0 * max(1.0, R) ** m)
-    deriv = seeded_fixed_point(Tm, seed, R, inner_tol, max_iter, n_terms)
+    deriv = seeded_fixed_point(Tm, seed, R, inner_tol, n_terms)
     U = deriv.fixed_point.regular
     for _ in range(m):
         U = integrate_from_zero(U)
     h = SingularFunction((log_term(z_i, 1.0),), U)
-    A = _solve_matrix(T, h, n_terms)
+    A = _solve_matrix(T, h, n_terms, tol)
     Th = apply_singular(T, h, on_interior="error", margin=REG_MARGIN,
                         n_terms=n_terms, matrix=A)
     if _term_diff(Th, h):
@@ -267,11 +278,8 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     corrected = linear_combine([(1.0, h.regular),
                                 (1.0, DiscSeries(R, p, 0.0))])
     fstar = SingularFunction(h.terms, corrected)
-    Tfs = apply_singular(T, fstar, on_interior="error", margin=REG_MARGIN,
+    residual = _residual(T, fstar, tol, on_interior="error",
                          n_terms=n_terms, matrix=A)
-    residual = _regular_diff_norm(Tfs, fstar)
-    if not residual < tol:
-        raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
     return FixedPointResult(fstar, residual, deriv.iterations,
                             Route("derivative", m))
 

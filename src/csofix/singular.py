@@ -184,7 +184,6 @@ def pullback_term(
     on_interior: str = "error",
     margin: float = 0.0,
     n_terms: int = DEFAULT_TRUNCATION,
-    fix_tol: float = 1e-12,
 ) -> SingularFunction:
     """Exact representation of term(map(z)) on D_{disc_radius}.
 
@@ -197,7 +196,7 @@ def pullback_term(
     s, t = complex(map.s), complex(map.t)
     z0 = term.location
     radius = float(disc_radius)
-    fixes = abs(complex(map.z_fix) - z0) <= fix_tol * max(1.0, abs(z0))
+    fixes = map.fixes(z0)
     if s == 0:
         if fixes or t == z0:
             raise NonSimpleConfigurationError(

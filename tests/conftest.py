@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csofix import cso, fixpoint
 from csofix.cso import AffineCso, AffineMap, make_cso
 from csofix.series import DiscSeries, make_series
 
@@ -10,6 +11,17 @@ SEED = 20260825
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def no_matrix_builds(monkeypatch):
+    """Fail on any operator matrix build, for rejections that must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator matrix built")
+
+    for module, name in ((cso, "operator_matrix"), (fixpoint, "operator_matrix"),
+                         (cso, "_conjugated_matrix")):
+        monkeypatch.setattr(module, name, refuse)
 
 
 def rand_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:

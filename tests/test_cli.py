@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,14 @@ GOLDEN_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "golden_m.jso
 POLE_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "pole_test.json")
 
 
+def not_json(constant):
+    raise ValueError(f"report holds {constant}, which is not JSON")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    report = json.loads(captured.out) if captured.out else None
+    report = json.loads(captured.out, parse_constant=not_json) if captured.out else None
     return code, report, captured.err
 
 
@@ -44,6 +49,8 @@ def test_parse_config_round_trip():
     ('{"radius": 1, "truncation": 1, '
      '"terms": [{"a": [1, 0], "s": [0, 0], "fix": [0, 0]}]}', "truncation"),
     ("{", "JSON"),
+    ('{"radius": Infinity, "terms": [{"a": [1, 0], "s": [0, 0], "fix": [0, 0]}]}',
+     "radius"),
 ])
 def test_parse_config_errors(doc, needle):
     with pytest.raises(PreconditionError) as e:
@@ -74,6 +81,26 @@ def test_diagnose_pinned_contracts(capsys):
     assert out["is_contraction"] is True
     assert 0.88 < out["certified_rate"] < 0.89
     assert out["N"] == 0
+
+
+@pytest.mark.parametrize("radius", ["1e-300", "5e-309", "1e-320"])
+def test_diagnose_at_tiny_radius_does_not_certify(capsys, radius):
+    # t_i / R overflows below about 1e-308; no warning, no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, _ = run_cli(capsys, "diagnose", "--config", GOLDEN_CFG,
+                                  "--radius", radius)
+    assert code == 0
+    out = report["outputs"]
+    assert out["certified_rate"] == "inf" and out["is_contraction"] is False
+    assert out["N"] is None
+
+
+def test_diagnose_rejects_infinite_radius(capsys):
+    code, report, err = run_cli(capsys, "diagnose", "--config", GOLDEN_CFG,
+                                "--radius", "inf")
+    assert code == 2 and report is None
+    assert err == "error: radius must be positive and finite\n"
 
 
 def test_report_determinism(capsys):
@@ -167,6 +194,30 @@ def test_fixpoint_overflowing_weights_exit_2(capsys, tmp_path):
         "--route", "generalized")
     assert code == 2 and report is None
     assert "N=1100 is too long for D_2.0" in err
+
+
+def test_overflowing_weights_rejected_before_any_matrix(capsys, no_matrix_builds,
+                                                        tmp_path):
+    code, report, err = run_cli(
+        capsys, "fixpoint", "--config", long_golden_config(tmp_path, 1100),
+        "--pin", repr(-W), "0", "--seed-location", "0", "0",
+        "--route", "generalized")
+    assert code == 2 and report is None
+    assert err == ("error: truncation N=1100 is too long for D_2.0: "
+                   "R^n overflows for n >= 1024\n")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["fixpoint", "--config", POLE_CFG, "--seed-kind", "pole", "--seed-location", "0", "0"],
+    ["fixpoint", "--config", GOLDEN_CFG, "--radius", "1.2", "--seed-location", "0", "0",
+     "--seed-order", "3", "--route", "derivative"],
+    ["golden", "fp"],
+])
+def test_bad_tolerance_exits_2_before_any_matrix(capsys, no_matrix_builds, argv, tol):
+    code, report, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 2 and report is None
+    assert err == "error: tolerance must be positive and finite\n"
 
 
 def test_fixpoint_convergence_failure_exits_3(capsys, tmp_path):

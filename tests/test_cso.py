@@ -43,7 +43,13 @@ from csofix.series import (
     with_tail,
     zero_series,
 )
-from csofix.singular import eval_singular, log_term, make_singular, pole_term
+from csofix.singular import (
+    eval_singular,
+    log_term,
+    make_singular,
+    pole_term,
+    pullback_term,
+)
 
 W = (math.sqrt(5.0) - 1.0) / 2.0
 PHI1 = AffineMap(-W, 0.0)
@@ -545,6 +551,25 @@ def test_simplicity_check():
     verdicts = simplicity_check(T, [0.0, W])
     assert not verdicts[0].ok and "back into the set" in verdicts[0].reason
     assert not verdicts[1].ok and verdicts[1].fixed_by == ()
+
+
+@pytest.mark.parametrize("dz,fixed", [(0.0, True), (5e-11, True), (1.5e-10, False)])
+def test_seeds_pullbacks_and_verdicts_share_one_fixed_point_test(dz, fixed):
+    # AffineMap.fixes: |z_fix - z| <= REL_TOL * max(1, |z|), here 1e-10
+    m = AffineMap(0.5, 100.0)
+    z = 100.0 + dz
+    assert m.fixes(z) is fixed
+    T = make_cso([(1.0, m), (0.5, AffineMap(0.5, -100.0))])
+    assert simplicity_check(T, [z])[0].fixed_by == ((0,) if fixed else ())
+    if fixed:
+        assert seed_admissibility(T, log_term(z)).index == 0
+        assert pullback_term(log_term(z), m, 200.0).terms == (log_term(z),)
+        return
+    with pytest.raises(PreconditionError) as e:
+        seed_admissibility(T, log_term(z))
+    assert "fixed by 0 maps" in str(e.value)
+    with pytest.raises(NonSimpleConfigurationError):
+        pullback_term(log_term(z), m, 200.0)
 
 
 def test_seed_admissibility():

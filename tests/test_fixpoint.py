@@ -89,8 +89,7 @@ def test_neumann_builds_operator_matrix_once(monkeypatch, rng):
 
     monkeypatch.setattr(cso, "operator_matrix", build)
     monkeypatch.setattr(fixpoint, "operator_matrix", build)
-    _, iterations = fixpoint._neumann(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10,
-                                      fixpoint.DEFAULT_MAX_ITER)
+    _, iterations = fixpoint._neumann(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10)
     assert iterations > 10
     assert builds == [Mc]
     # a whole solve builds one matrix per operator, on every route
@@ -165,14 +164,15 @@ def test_neumann_solves_to_tolerance(rng):
         assert l1_norm(resid) - resid.tail_bound < 1e-10 * max(1.0, l1_norm(g))
 
 
-def test_neumann_requires_contraction():
+def test_neumann_requires_contraction(monkeypatch):
     M = make_M()
     with pytest.raises(PreconditionError) as e:
         neumann_inverse(M, zero_series(1.9009), 1.9009, 1e-8)
     assert "contract" in str(e.value)
+    monkeypatch.setattr(fixpoint, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
         neumann_inverse(pinned(M, W), random_poly(
-            np.random.default_rng(1), 2.0, 4), 2.0, 1e-12, max_iter=2)
+            np.random.default_rng(1), 2.0, 4), 2.0, 1e-12)
 
 
 def test_direct_route_pole_operator():
@@ -190,7 +190,7 @@ def test_direct_route_pole_operator():
         assert abs(lhs - rhs) < 1e-8
 
 
-def test_generalized_route_golden_log():
+def test_generalized_route_golden_log(monkeypatch):
     Mc = pinned(make_M(), W)
     res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
     assert str(res.route) == "generalized_seed(1)"
@@ -202,9 +202,10 @@ def test_generalized_route_golden_log():
     # the direct route refuses this seed: its image is not regular on D_2
     with pytest.raises(PreconditionError):
         seeded_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
+    monkeypatch.setattr(fixpoint, "K_MAX", 0)
     with pytest.raises(PreconditionError) as e:
         generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0,
-                                     1e-8, k_max=0)
+                                     1e-8)
     assert "stabilized" in str(e.value)
 
 
@@ -309,8 +310,42 @@ def test_seed_radius_mismatch():
         seeded_fixed_point(T, f0, 4.0, 1e-8)
 
 
-def test_convergence_error_on_tiny_budget():
+def test_convergence_error_on_tiny_budget(monkeypatch):
     Mc = pinned(make_M(), W)
+    monkeypatch.setattr(fixpoint, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
         generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0,
-                                     1e-8, max_iter=2)
+                                     1e-8)
+
+
+def test_golden_solve_applies_T_once_per_step(monkeypatch):
+    # two stabilization steps (k = 0, 1), whose last T g the Neumann solve
+    # reuses, and the residual check: three applications, not four
+    calls = []
+    original = fixpoint.apply_singular
+
+    def counted(T, f, **kwargs):
+        calls.append(f)
+        return original(T, f, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "apply_singular", counted)
+    Mc = pinned(make_M(), C2)
+    res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
+    assert str(res.route) == "generalized_seed(1)"
+    assert len(calls) == 3
+    assert calls[-1] is res.fixed_point
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_bad_tolerance_rejected_before_any_matrix(no_matrix_builds, tol):
+    Mc, T = pinned(make_M(), C2), pole_op()
+    solves = [
+        lambda: neumann_inverse(Mc, zero_series(2.0), 2.0, tol),
+        lambda: seeded_fixed_point(T, make_seed(T, pole_term(0.0, 1)), 4.0, tol),
+        lambda: generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, tol),
+        lambda: derivative_route_fixed_point(make_M(), 0, 3, 1.2, tol),
+    ]
+    for solve in solves:
+        with pytest.raises(PreconditionError) as e:
+            solve()
+        assert str(e.value) == "tolerance must be positive and finite"

@@ -55,11 +55,19 @@ class OperatorConfig:
     truncation: int = DEFAULT_TRUNCATION
 
 
+def _number(v, where: str) -> float:
+    """A JSON number as a finite float.  Booleans, and numbers that are not
+    finite or too large for a float, exit 2."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise PreconditionError(f"{where}: expected finite number, got {v!r}")
+    return float(v)
+
+
 def _pair(v, where: str) -> complex:
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(u, (int, float)) for u in v)):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise PreconditionError(f"{where}: expected [re, im] pair, got {v!r}")
-    return complex(v[0], v[1])
+    return complex(_number(v[0], where), _number(v[1], where))
 
 
 def parse_config(text: str) -> OperatorConfig:
@@ -71,8 +79,8 @@ def parse_config(text: str) -> OperatorConfig:
         raise PreconditionError("config must be a JSON object")
     if "radius" not in doc:
         raise PreconditionError("config missing required field 'radius'")
-    radius = doc["radius"]
-    if not isinstance(radius, (int, float)) or not 0 < radius < math.inf:
+    radius = _number(doc["radius"], "radius")
+    if not radius > 0:
         raise PreconditionError(f"radius: expected finite number > 0, got {radius!r}")
     raw_terms = doc.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
@@ -93,13 +101,13 @@ def parse_config(text: str) -> OperatorConfig:
         if abs(s) >= 1:
             raise PreconditionError(f"{where}.s: |s| >= 1")
         terms.append((a, AffineMap(s, fix)))
-    mu = doc.get("mu", DEFAULT_MU)
-    if not isinstance(mu, (int, float)) or not 0 < mu <= 1:
+    mu = _number(doc.get("mu", DEFAULT_MU), "mu")
+    if not 0 < mu <= 1:
         raise PreconditionError(f"mu: expected number in (0, 1], got {mu!r}")
     truncation = doc.get("truncation", DEFAULT_TRUNCATION)
     if not isinstance(truncation, int) or truncation < 2:
         raise PreconditionError(f"truncation: expected integer >= 2, got {truncation!r}")
-    return OperatorConfig(make_cso(terms), float(radius), float(mu), truncation)
+    return OperatorConfig(make_cso(terms), radius, mu, truncation)
 
 
 def serialize_config(cfg: OperatorConfig) -> str:
@@ -361,7 +369,10 @@ def _dispatch(args, argv: Sequence[str]) -> tuple[dict, Optional[str]]:
     if getattr(args, "pin", None) is not None:
         pin = complex(args.pin[0], args.pin[1])
     if args.cmd in ("diagnose", "fixpoint", "polyfix"):
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise PreconditionError(f"cannot read config {args.config}: {e}") from None
         cfg = parse_config(text)
         digest = _digest(text.encode())
         if args.cmd == "diagnose":

@@ -256,20 +256,19 @@ def apply_singular(
     T: AffineCso,
     f: SingularFunction,
     *,
-    on_interior: str = "error",
-    margin: float = 0.0,
+    relocate: bool = False,
     n_terms: int = DEFAULT_TRUNCATION,
     matrix: Optional[np.ndarray] = None,
 ) -> SingularFunction:
     """Sum of pullbacks of every singular term through every map, plus the
     regular part pushed through apply_series (with `matrix`, if given).
 
-    With the default on_interior="error" the unbounded set must be simple
-    under T.  The relocation mode skips that gate; it is meant for the
-    iterated-seed machinery, which checks cancellation downstream.
+    By default the unbounded set must be simple under T.  With `relocate`
+    that gate is skipped and interior preimages are relocated; it is meant
+    for the iterated-seed machinery, which checks cancellation downstream.
     """
     R = f.radius
-    if on_interior == "error":
+    if not relocate:
         verdicts = simplicity_check(T, unbounded_set(f))
         bad = [v for v in verdicts if not v.ok]
         if bad:
@@ -279,8 +278,7 @@ def apply_singular(
     regular_parts = [(1.0, apply_series(T, f.regular, R, matrix))]
     for a, m in T.terms:
         for term in f.terms:
-            pb = pullback_term(term, m, R, on_interior=on_interior,
-                               margin=margin, n_terms=n_terms)
+            pb = pullback_term(term, m, R, relocate=relocate, n_terms=n_terms)
             weighted.extend((a, t) for t in pb.terms)
             regular_parts.append((a, pb.regular))
     return SingularFunction(merge_terms(weighted), linear_combine(regular_parts))
@@ -316,9 +314,12 @@ def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
     unit disc, so the ratios are the plain column l1 norms of that
     operator's matrix.  No power of R is formed, so no weight overflows,
     however large or small R is.  Matches basis_image_norm pointwise."""
-    # t_i / R overflows at a subnormal R; ratios that are not finite never certify
+    # t_i / R overflows at a subnormal R, and an overflowed power of t_i / R
+    # times a structural zero is nan: that norm is inf.  Ratios that are not
+    # finite never certify
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
+        ratios = np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
+    return np.where(np.isnan(ratios), np.inf, ratios)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Three construction routes, all returning the singular seed plus a computed
 regular correction:
 
-  direct           f* = f0 - N(f0 - T f0), N the Neumann inverse of I - T,
-                   usable when f0 - T f0 is already regular on the disc;
-  generalized (k)  the same applied to T^k f0 once iterating T stabilizes
-                   the singular terms;
+  generalized (k)  apply T to the seed f0 until the singular terms
+                   stabilize, g = T^k f0, then f* = g - N(g - T g), N the
+                   Neumann inverse of I - T;
+  direct           the same at k = 0, usable when f0 - T f0 is already
+                   regular on the disc;
   derivative (m)   fix the m-th derivative with a pole seed under the
                    induced operator, integrate back, correct by a polynomial.
 """
@@ -49,21 +50,8 @@ from .singular import (
     pole_term,
 )
 
-REG_MARGIN = 1e-6
 MAX_ITER = 50_000  # Neumann iterations before exit 3
 K_MAX = 8  # stabilization steps before the generalized route gives up
-
-
-@dataclass(frozen=True)
-class Route:
-    kind: str  # "direct" | "generalized_seed" | "derivative"
-    parameter: Optional[int] = None
-
-    def __str__(self):
-        return self.kind if self.parameter is None else f"{self.kind}({self.parameter})"
-
-
-DIRECT = Route("direct")
 
 
 @dataclass(frozen=True)
@@ -77,7 +65,7 @@ class FixedPointResult:
     fixed_point: SingularFunction
     residual_norm: float
     iterations: int
-    route: Route
+    route: str  # "direct", "generalized_seed(k)" or "derivative(m)"
 
 
 def make_seed(T: AffineCso, term: SingularTerm) -> SeedSpec:
@@ -164,30 +152,53 @@ def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int,
     return operator_matrix(T, n)
 
 
-def _residual(T: AffineCso, f: SingularFunction, tol: float, *,
-              on_interior: str, n_terms: int, matrix: np.ndarray) -> float:
-    """||T f - f||_R; exit 3 unless T keeps f's singular terms and it is < tol."""
-    Tf = apply_singular(T, f, on_interior=on_interior, margin=REG_MARGIN,
-                        n_terms=n_terms, matrix=matrix)
+def _remainder(T: AffineCso, f: SingularFunction, relocate: bool,
+               n_terms: int, matrix: np.ndarray) -> DiscSeries:
+    """The regular part of T f - f; exit 3 unless T keeps f's singular terms."""
+    Tf = apply_singular(T, f, relocate=relocate, n_terms=n_terms, matrix=matrix)
     if _term_diff(Tf, f):
-        raise ConvergenceError("fixed point lost singular-term cancellation")
-    residual = l1_norm(linear_combine([(1.0, Tf.regular), (-1.0, f.regular)]))
+        raise ConvergenceError("singular terms of T f no longer cancel those of f")
+    return linear_combine([(1.0, Tf.regular), (-1.0, f.regular)])
+
+
+def _residual(T: AffineCso, f: SingularFunction, tol: float, relocate: bool,
+              n_terms: int, matrix: np.ndarray) -> float:
+    """||T f - f||_R; exit 3 unless T keeps f's singular terms and it is < tol."""
+    residual = l1_norm(_remainder(T, f, relocate, n_terms, matrix))
     if not residual < tol:
         raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
     return residual
 
 
-def _finish(T: AffineCso, f0: SingularFunction, Tf0: SingularFunction,
-            tol: float, route: Route, *, on_interior: str,
-            n_terms: int, matrix: np.ndarray) -> FixedPointResult:
-    """Common tail of the direct and generalized routes: f0, whose singular
-    terms T f0 reproduces, becomes f0 - N(f0 - T f0)."""
-    gbar = linear_combine([(1.0, f0.regular), (-1.0, Tf0.regular)])
-    u, iters = _neumann(T, gbar, f0.radius, tol, matrix)
-    fstar = SingularFunction(f0.terms, linear_combine([(1.0, f0.regular), (-1.0, u)]))
-    residual = _residual(T, fstar, tol, on_interior=on_interior,
-                         n_terms=n_terms, matrix=matrix)
-    return FixedPointResult(fstar, residual, iters, route)
+def _stabilized(T: AffineCso, seed: Union[SeedSpec, SingularFunction], R: float,
+                tol: float, n_terms: int, relocate: bool) -> FixedPointResult:
+    """Apply T to the seed g until the singular terms stabilize (least k
+    with terms(T^{k+1} g) = terms(T^k g)), then g - N(g - T g), from that
+    g and its T g, is the fixed point.  With `relocate`, singularities
+    moved to interior preimages are tracked exactly, up to k = K_MAX, so
+    the stabilized term set may be larger than the seed's.  Without it a
+    step can only rescale the terms it keeps, so terms left over at k = 0
+    never cancel later and k = 0 is the only step tried."""
+    g = _as_function(seed, R)
+    A = _solve_matrix(T, g, n_terms, tol)
+    k_max = K_MAX if relocate else 0
+    for k in range(k_max + 1):
+        Tg = apply_singular(T, g, relocate=relocate, n_terms=n_terms, matrix=A)
+        leftovers = _term_diff(Tg, g)
+        if not leftovers:
+            break
+        g = Tg
+    else:
+        t = leftovers[0]
+        raise PreconditionError(
+            f"singular terms never stabilized within k <= {k_max} on D_{R}: "
+            f"uncancelled {t.kind} term at {t.location} (weight {t.weight})")
+    gbar = linear_combine([(1.0, g.regular), (-1.0, Tg.regular)])
+    u, iters = _neumann(T, gbar, R, tol, A)
+    fstar = SingularFunction(g.terms, linear_combine([(1.0, g.regular), (-1.0, u)]))
+    residual = _residual(T, fstar, tol, relocate, n_terms, A)
+    return FixedPointResult(fstar, residual, iters,
+                            f"generalized_seed({k})" if relocate else "direct")
 
 
 def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
@@ -195,37 +206,14 @@ def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
                        n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
     """Direct route: requires f0 - T f0 already regular on D_R, which holds
     when every non-owning map sends the seed location outside its image."""
-    f0 = _as_function(seed, R)
-    A = _solve_matrix(T, f0, n_terms, tol)
-    Tf0 = apply_singular(T, f0, on_interior="error", margin=REG_MARGIN,
-                         n_terms=n_terms, matrix=A)
-    leftovers = _term_diff(Tf0, f0)
-    if leftovers:
-        raise PreconditionError(
-            f"remainder not regular on D_{R}: uncancelled {leftovers[0].kind} term "
-            f"at {leftovers[0].location} (weight {leftovers[0].weight})")
-    return _finish(T, f0, Tf0, tol, DIRECT, on_interior="error",
-                   n_terms=n_terms, matrix=A)
+    return _stabilized(T, seed, R, tol, n_terms, relocate=False)
 
 
 def generalized_seed_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
                                  R: float, tol: float,
                                  n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
-    """Iterate g <- T g until the singular terms stabilize (least k <= K_MAX
-    with terms(T^{k+1} g) = terms(T^k g)), then finish like the direct route
-    from g and that T g.  Relocated singularities are tracked exactly, so the
-    stabilized term set may be larger than the seed's."""
-    g = _as_function(seed, R)
-    A = _solve_matrix(T, g, n_terms, tol)
-    for k in range(K_MAX + 1):
-        g_next = apply_singular(T, g, on_interior="relocate", margin=REG_MARGIN,
-                                n_terms=n_terms, matrix=A)
-        if not _term_diff(g_next, g):
-            return _finish(T, g, g_next, tol, Route("generalized_seed", k),
-                           on_interior="relocate", n_terms=n_terms, matrix=A)
-        g = g_next
-    raise PreconditionError(
-        f"singular terms never stabilized within k <= {K_MAX}")
+    """Generalized route: relocated terms allowed, k <= K_MAX steps."""
+    return _stabilized(T, seed, R, tol, n_terms, relocate=True)
 
 
 def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: float,
@@ -261,11 +249,7 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
         U = integrate_from_zero(U)
     h = SingularFunction((log_term(z_i, 1.0),), U)
     A = _solve_matrix(T, h, n_terms, tol)
-    Th = apply_singular(T, h, on_interior="error", margin=REG_MARGIN,
-                        n_terms=n_terms, matrix=A)
-    if _term_diff(Th, h):
-        raise ConvergenceError("integrated candidate lost term cancellation")
-    q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
+    q = _remainder(T, h, False, n_terms, A)
     dust = q.tail_bound + float(np.sum(np.abs(q.coeffs[m:]) *
                                        R ** np.arange(m, q.coeffs.size)))
     if dust > max(tol, 1e-10 * max(1.0, l1_norm(q))):
@@ -278,10 +262,8 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     corrected = linear_combine([(1.0, h.regular),
                                 (1.0, DiscSeries(R, p, 0.0))])
     fstar = SingularFunction(h.terms, corrected)
-    residual = _residual(T, fstar, tol, on_interior="error",
-                         n_terms=n_terms, matrix=A)
-    return FixedPointResult(fstar, residual, deriv.iterations,
-                            Route("derivative", m))
+    residual = _residual(T, fstar, tol, False, n_terms, A)
+    return FixedPointResult(fstar, residual, deriv.iterations, f"derivative({m})")
 
 
 def _as_function(seed: Union[SeedSpec, SingularFunction], R: float) -> SingularFunction:

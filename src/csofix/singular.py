@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 LOG = "log"
 POLE = "pole"
+REG_MARGIN = 1e-6  # relative band outside the disc that pullback_term refuses
 
 
 @dataclass(frozen=True)
@@ -181,17 +182,16 @@ def pullback_term(
     map: "AffineMap",
     disc_radius: float,
     *,
-    on_interior: str = "error",
-    margin: float = 0.0,
+    relocate: bool = False,
     n_terms: int = DEFAULT_TRUNCATION,
 ) -> SingularFunction:
     """Exact representation of term(map(z)) on D_{disc_radius}.
 
-    Routes: a term at the map's own fixed point stays put (logs gain the
-    constant weight*log s, poles scale by s^{-k}); a location strictly outside
-    the closure of map(D_radius) becomes purely regular; anything else is a
-    singularity relocated to an interior preimage, which the default contract
-    rejects and on_interior="relocate" performs exactly.
+    A location strictly outside the closure of map(D_radius), by more than
+    REG_MARGIN, becomes purely regular.  Otherwise the term moves to its
+    preimage w: a log gains the constant weight*log s, a pole scales by
+    s^{-k}.  A term at the map's own fixed point is its own preimage and
+    stays put; any other interior preimage is rejected unless `relocate`.
     """
     s, t = complex(map.s), complex(map.t)
     z0 = term.location
@@ -203,27 +203,21 @@ def pullback_term(
                 "constant map lands on the singular location")
         # constant composition: term evaluated at t
         return purely_regular(make_series([eval_term(term, t)], radius))
-    if fixes:
-        if term.kind == LOG:
-            const = make_series([term.weight * cmath.log(s)], radius)
-            return SingularFunction((term,), const)
-        scaled = replace(term, weight=term.weight * s ** (-term.order))
-        return SingularFunction((scaled,), zero_series(radius))
-    # preimage of the singularity under the map
-    w = (z0 - t) / s
-    if abs(w) > radius * (1.0 + margin):
-        if term.kind == LOG:
-            g = log_affine(t - z0, s, radius, n_terms)
-        else:
-            g = _inverse_power_series(t - z0, s, term.order, radius, n_terms)
-        return purely_regular(linear_combine([(term.weight, g)]))
-    if on_interior != "relocate":
-        raise NonSimpleConfigurationError(
-            f"singularity at {z0} relocates inside the disc (preimage {w})")
-    if abs(w) >= radius:
-        # inside the margin band: too close to the rim to classify either way
-        raise NonSimpleConfigurationError(
-            f"relocated singularity {w} lands on the classification margin")
+    w = z0 if fixes else (z0 - t) / s
+    if not fixes:
+        if abs(w) > radius * (1.0 + REG_MARGIN):
+            if term.kind == LOG:
+                g = log_affine(t - z0, s, radius, n_terms)
+            else:
+                g = _inverse_power_series(t - z0, s, term.order, radius, n_terms)
+            return purely_regular(linear_combine([(term.weight, g)]))
+        if not relocate:
+            raise NonSimpleConfigurationError(
+                f"singularity at {z0} relocates inside the disc (preimage {w})")
+        if abs(w) >= radius:
+            # inside the margin band: too close to the rim to classify either way
+            raise NonSimpleConfigurationError(
+                f"relocated singularity {w} lands on the classification margin")
     if term.kind == LOG:
         moved = log_term(w, term.weight)
         const = make_series([term.weight * cmath.log(s)], radius)

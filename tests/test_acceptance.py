@@ -242,7 +242,7 @@ def _suite_k_independence(rng, trials):
         T = random_tame_cso(rng)
         z1 = T.maps[0].z_fix
         f0 = SingularFunction((log_term(z1),), zero_series(1.0))
-        g1 = apply_singular(T, f0, on_interior="relocate", n_terms=24)
+        g1 = apply_singular(T, f0, relocate=True, n_terms=24)
         a = seeded_fixed_point(T, f0, 1.0, 1e-7, n_terms=24)
         b = seeded_fixed_point(T, g1, 1.0, 1e-7, n_terms=24)
         while True:
@@ -268,14 +268,14 @@ def _suite_pullback_identities(rng, trials):
             if abs(z - w) > 0.1 and abs(mp(z) - z0) > 1e-3:
                 break
         if done % 2 == 0:
-            out = pullback_term(log_term(z0), mp, 1.2, on_interior="relocate")
+            out = pullback_term(log_term(z0), mp, 1.2, relocate=True)
             got = cmath.exp(eval_singular(out, z))
             want = mp(z) - z0
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
         else:
             k = int(rng.integers(1, 4))
             out = pullback_term(pole_term(z0, k, 2.0 - 1.0j), mp, 1.2,
-                                on_interior="relocate")
+                                relocate=True)
             want = eval_term(pole_term(z0, k, 2.0 - 1.0j), mp(z))
             assert abs(eval_singular(out, z) - want) < 1e-8 * max(1.0, abs(want))
         done += 1

@@ -58,6 +58,44 @@ def test_parse_config_errors(doc, needle):
     assert needle in str(e.value)
 
 
+HUGE = "1" + "0" * 400  # an integer too large for a float
+ONE_TERM = '"terms": [{"a": [1, 0], "s": [0, 0], "fix": [0, 0]}]'
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ('{"radius": true, ' + ONE_TERM + '}', "radius"),
+    ('{"radius": 1, "mu": true, ' + ONE_TERM + '}', "mu"),
+    ('{"radius": 1, "terms": [{"a": [true, false], "s": [0, 0], "fix": [0, 0]}]}',
+     "terms[0].a"),
+    ('{"radius": ' + HUGE + ', ' + ONE_TERM + '}', "radius"),
+    ('{"radius": 1, "terms": [{"a": [1, 0], "s": [0, 0], "fix": [' + HUGE
+     + ', 0]}]}', "terms[0].fix"),
+], ids=["bool-radius", "bool-mu", "bool-pair", "huge-radius", "huge-pair"])
+def test_parse_config_rejects_booleans_and_huge_integers(doc, needle):
+    with pytest.raises(PreconditionError) as e:
+        parse_config(doc)
+    assert str(e.value).startswith(needle + ": expected finite number")
+
+
+def test_huge_integer_radius_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"radius": ' + HUGE + ', ' + ONE_TERM + '}')
+    code, report, err = run_cli(capsys, "diagnose", "--config", str(cfg))
+    assert code == 2 and report is None
+    assert err.startswith("error: radius: expected finite number")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"])
+def test_unreadable_config_exits_2(capsys, tmp_path, content):
+    cfg = tmp_path / "operator.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, report, err = run_cli(capsys, "diagnose", "--config", str(cfg))
+    assert code == 2 and report is None
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_diagnose_reports_structure(capsys):
     code, report, _ = run_cli(capsys, "diagnose", "--config", GOLDEN_CFG)
     assert code == 0
@@ -94,6 +132,17 @@ def test_diagnose_at_tiny_radius_does_not_certify(capsys, radius):
     out = report["outputs"]
     assert out["certified_rate"] == "inf" and out["is_contraction"] is False
     assert out["N"] is None
+
+
+@pytest.mark.parametrize("pin", [[], ["--pin", repr(W), "0"]])
+def test_diagnose_at_tiny_radius_reports_no_nan(capsys, pin):
+    # an overflowed power of t_i / R times a structural zero is an infinite
+    # norm, not nan
+    code, report, _ = run_cli(capsys, "diagnose", "--config", GOLDEN_CFG,
+                              "--radius", "1e-300", *pin)
+    assert code == 0
+    ratios = report["outputs"]["ratios"]
+    assert "nan" not in ratios and ratios.count("inf") > 190
 
 
 def test_diagnose_rejects_infinite_radius(capsys):

@@ -601,7 +601,7 @@ def test_apply_singular_gates_and_relocates():
     f = make_singular([log_term(1.0)], zero_series(2.0))
     with pytest.raises(NonSimpleConfigurationError):
         apply_singular(T, f)
-    out = apply_singular(T, f, on_interior="relocate")
+    out = apply_singular(T, f, relocate=True)
     keys = {t.key for t in out.terms}
     locs = sorted(t.location.real for t in out.terms)
     assert len(keys) == 2

@@ -89,6 +89,19 @@ def test_pullback_at_fixed_location():
     assert l1_norm(out.regular) == 0.0
 
 
+def test_pullback_fixed_location_under_relocate():
+    # a fixed point is its own preimage: relocation keeps the location bit
+    # for bit, where (z0 - t) / s would round, and matches the strict result
+    mp = map_from_shift(0.3 - 0.2j, 0.45 + 0.1j)
+    for term in (log_term(mp.z_fix, 2.0 - 1.0j), pole_term(mp.z_fix, 3, 0.5j)):
+        out = pullback_term(term, mp, 1.5, relocate=True)
+        assert len(out.terms) == 1
+        assert out.terms[0].location == term.location
+        strict = pullback_term(term, mp, 1.5)
+        assert out.terms == strict.terms
+        assert np.array_equal(out.regular.coeffs, strict.regular.coeffs)
+
+
 def test_pullback_constant_map():
     out = pullback_term(log_term(0.0), AffineMap(0.0, 0.3), 1.0)
     assert out.terms == ()
@@ -115,18 +128,18 @@ def test_pullback_analytic_route():
 def test_pullback_interior_routes():
     with pytest.raises(NonSimpleConfigurationError):
         pullback_term(log_term(0.0), PHI2, 2.0)
-    out = pullback_term(log_term(0.0), PHI2, 2.0, on_interior="relocate")
+    out = pullback_term(log_term(0.0), PHI2, 2.0, relocate=True)
     assert len(out.terms) == 1
     moved = out.terms[0]
     assert moved.kind == "log"
     assert abs(moved.location + 1.0 / W) < 1e-14
     assert out.regular.coeffs[0] == cmath.log(complex(W * W))
-    out = pullback_term(pole_term(0.0, 1), PHI2, 2.0, on_interior="relocate")
+    out = pullback_term(pole_term(0.0, 1), PHI2, 2.0, relocate=True)
     assert abs(out.terms[0].weight - 1.0 / (W * W)) < 1e-13
-    # the margin band between R and R(1+margin) refuses to classify
-    with pytest.raises(NonSimpleConfigurationError):
-        pullback_term(log_term(0.0), PHI2, 1.6, on_interior="relocate",
-                      margin=0.05)
+    # the band between R and R(1+REG_MARGIN) refuses to classify: the
+    # preimage -1/w = -1.6180339887... lies just outside D_1.618033
+    with pytest.raises(NonSimpleConfigurationError, match="margin"):
+        pullback_term(log_term(0.0), PHI2, 1.618033, relocate=True)
 
 
 def test_pullback_multiplicative_identity(rng):
@@ -138,7 +151,7 @@ def test_pullback_multiplicative_identity(rng):
         z0 = rand_disc(rng, 0.9)
         if abs((z0 - t) / s) <= 1.3:
             continue
-        out = pullback_term(log_term(z0), mp, 1.2, on_interior="relocate")
+        out = pullback_term(log_term(z0), mp, 1.2, relocate=True)
         z = rand_disc(rng, 1.1)
         got = cmath.exp(eval_singular(out, z))
         assert abs(got - (mp(z) - z0)) < 1e-10 * max(1.0, abs(mp(z) - z0))
@@ -155,7 +168,7 @@ def test_pullback_pole_identity(rng):
         if abs(w) <= 1.3:
             continue
         out = pullback_term(pole_term(z0, k, 2.0 - 1.0j), mp, 1.2,
-                            on_interior="relocate")
+                            relocate=True)
         z = rand_disc(rng, 1.1)
         expected = (2.0 - 1.0j) * (mp(z) - z0) ** -k
         assert abs(eval_singular(out, z) - expected) < 1e-9 * max(1.0, abs(expected))

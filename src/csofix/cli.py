@@ -110,19 +110,6 @@ def parse_config(text: str) -> OperatorConfig:
     return OperatorConfig(make_cso(terms), radius, mu, truncation)
 
 
-def serialize_config(cfg: OperatorConfig) -> str:
-    doc = {
-        "terms": [{"a": [a.real, a.imag],
-                   "s": [m.s.real, m.s.imag],
-                   "fix": [m.z_fix.real, m.z_fix.imag]}
-                  for a, m in cfg.cso.terms],
-        "radius": cfg.radius,
-        "mu": cfg.mu,
-        "truncation": cfg.truncation,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _c(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]

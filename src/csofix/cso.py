@@ -64,14 +64,6 @@ class AffineMap:
         return abs(self.z_fix - z) <= REL_TOL * max(1.0, abs(z))
 
 
-def map_from_shift(s: complex, t: complex) -> AffineMap:
-    """Map z -> s z + t written in fixed-point form (needs s != 1)."""
-    s, t = complex(s), complex(t)
-    if s == 1:
-        raise PreconditionError("s = 1 has no fixed point")
-    return AffineMap(s, t / (1 - s))
-
-
 @dataclass(frozen=True)
 class AffineCso:
     terms: tuple[tuple[complex, AffineMap], ...]

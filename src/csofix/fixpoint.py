@@ -51,6 +51,7 @@ from .singular import (
 )
 
 MAX_ITER = 50_000  # Neumann iterations before exit 3
+MAX_TRUNCATION = 4096  # coefficients; the N x N matrix is 16 N^2 B, 256 MiB here
 K_MAX = 8  # stabilization steps before the generalized route gives up
 
 
@@ -89,10 +90,14 @@ def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSe
 def _weights(R: float, n: int, tol: float) -> np.ndarray:
     """The l1 weights R^k, k < n, of a series on D_R, checked with tol
     before any matrix is built: a tol that is not positive and finite is
-    never met or cannot be reported, and an R^k that overflows would make
-    every norm 0 * inf = nan, so no loop could stop."""
+    never met or cannot be reported, an n above MAX_TRUNCATION would
+    allocate too much, and an R^k that overflows would make every norm
+    0 * inf = nan, so no loop could stop."""
     if not 0.0 < tol < math.inf:
         raise PreconditionError("tolerance must be positive and finite")
+    if n > MAX_TRUNCATION:
+        raise PreconditionError(
+            f"truncation N exceeds the cap of {MAX_TRUNCATION} coefficients")
     with np.errstate(over="ignore"):
         rpow = R ** np.arange(n, dtype=float)
     if not np.isfinite(rpow[-1]):

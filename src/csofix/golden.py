@@ -60,6 +60,31 @@ def _kahan(total, comp, x):
     return t, comp
 
 
+def _log1p_row_sums(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Row sums of the principal log(1 + z), z = a + ib, from real ufuncs
+    (b is None for real z, and then a is overwritten).
+
+    The imaginary part is arctan2(b, 1 + a).  The real part is
+    log1p(a(2 + a) + b^2) / 2, since a(2 + a) + b^2 = |1 + z|^2 - 1, with the
+    1/2 applied to the row sum.  Where |1 + z|^2 < 1/4 that square cancels
+    near the branch point z = -1, and where it overflows it is inf; there
+    the real part is log(hypot(1 + a, b)), entered doubled.
+    """
+    if b is None:
+        return np.sum(np.log1p(a, out=a), axis=1)
+    a1 = 1.0 + a
+    imag = np.sum(np.arctan2(b, a1), axis=1)
+    with np.errstate(over="ignore"):
+        sq = a * (2.0 + a)
+        sq += b * b
+    far = (sq >= -0.75) & (sq < np.inf)
+    real = np.log1p(sq, out=sq, where=far)
+    if not far.all():
+        near = ~far
+        real[near] = 2.0 * np.log(np.hypot(a1[near], b[near]))
+    return 0.5 * np.sum(real, axis=1) + 1j * imag
+
+
 def _word_log_sums(points: np.ndarray, refs: Sequence[float],
                    depth: int) -> np.ndarray:
     """Sum over the words w of length <= depth of log1p(w phi_w(p)) minus
@@ -68,27 +93,36 @@ def _word_log_sums(points: np.ndarray, refs: Sequence[float],
     Points and references are evaluated together, chunked over words; the
     chunk sums are differenced, so the level totals stay small, and each
     level is Kahan-added.  The logs are real for a real array of points and
-    principal-branch complex otherwise.  A point where some 1 + w phi_w(p)
-    is real and <= 0 (a branch point, or on the principal log's cut) is
-    rejected.
+    principal-branch complex otherwise.  The maps are real, so the argument
+    a + ib = w phi_w(p) is kept as a = w (s Re p + t) and b = w s Im p, and
+    `_log1p_row_sums` forms each complex log from real ufuncs; only points
+    with some |1 + w phi_w(p)| < 1/2, or overflowing, take its hypot
+    fallback.  A point where some 1 + w phi_w(p) is real and <= 0 (a branch
+    point, or on the principal log's cut) is rejected.
     """
     n = points.size
     pts = np.concatenate([points, np.asarray(refs, dtype=points.dtype)])
+    imag = pts.imag if np.iscomplexobj(pts) else None
     total = comp = np.zeros((len(refs), n), dtype=points.dtype)
     for s, t in _level_maps(depth):
         level = np.zeros_like(total)
         for lo in range(0, s.size, _CHUNK):
-            args = np.multiply.outer(pts, s[lo:lo + _CHUNK])
-            args += t[lo:lo + _CHUNK]
-            args *= OMEGA  # last, as (w s) p + w t rounds further from exact
-            on_cut = args.real <= -1.0
-            if np.iscomplexobj(args):
-                on_cut &= args.imag == 0.0
+            sc = s[lo:lo + _CHUNK]
+            a = np.multiply.outer(pts.real, sc)
+            a += t[lo:lo + _CHUNK]
+            a *= OMEGA  # last, as (w s) p + w t rounds further from exact
+            b = None
+            if imag is not None:
+                b = np.multiply.outer(imag, sc)
+                b *= OMEGA
+            on_cut = a <= -1.0
+            if b is not None and np.any(on_cut):
+                on_cut &= b == 0.0
             if np.any(on_cut):
                 bad = pts[np.argmax(np.any(on_cut, axis=1))]
                 raise PreconditionError(
                     f"word log at {bad} is singular or on its branch cut")
-            sums = np.sum(np.log1p(args, out=args), axis=1)
+            sums = _log1p_row_sums(a, b)
             level += sums[:n] - sums[n:, None]
         total, comp = _kahan(total, comp, level)
     return total

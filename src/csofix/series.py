@@ -90,19 +90,6 @@ def zero_series(radius: float) -> DiscSeries:
     return make_series([0.0], radius)
 
 
-def monomial(n: int, radius: float) -> DiscSeries:
-    """The basis function Z_n = z^n, of norm radius^n."""
-    if n < 0:
-        raise PreconditionError("monomial degree must be >= 0")
-    c = np.zeros(n + 1, dtype=complex)
-    c[n] = 1.0
-    return DiscSeries(float(radius), c)
-
-
-def with_tail(f: DiscSeries, tail_bound: float) -> DiscSeries:
-    return DiscSeries(f.radius, f.coeffs, float(tail_bound))
-
-
 def l1_norm(f: DiscSeries) -> float:
     powers = f.radius ** np.arange(len(f.coeffs), dtype=float)
     return float(np.abs(f.coeffs) @ powers) + f.tail_bound
@@ -125,22 +112,6 @@ def linear_combine(pairs: Iterable[tuple[complex, DiscSeries]]) -> DiscSeries:
         out[: len(f.coeffs)] += w * f.coeffs
         tail += abs(w) * f.tail_bound
     return DiscSeries(radius, out, tail)
-
-
-def differentiate(f: DiscSeries, margin: float | None = None) -> DiscSeries:
-    """Termwise derivative; radius kept.
-
-    The discarded tail's derivative is controlled by the Cauchy estimate with
-    inner margin delta (default R/10), giving the factor 1/delta^2 for one
-    differentiation.
-    """
-    delta = f.radius / 10.0 if margin is None else float(margin)
-    if not 0.0 < delta < f.radius:
-        raise PreconditionError("margin must lie in (0, radius)")
-    if len(f.coeffs) == 1:
-        return DiscSeries(f.radius, np.zeros(1, dtype=complex), f.tail_bound / delta**2)
-    idx = np.arange(1, len(f.coeffs), dtype=float)
-    return DiscSeries(f.radius, f.coeffs[1:] * idx, f.tail_bound / delta**2)
 
 
 def integrate_from_zero(f: DiscSeries) -> DiscSeries:

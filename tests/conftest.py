@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from csofix import cso, fixpoint
+from csofix.cli import OperatorConfig
 from csofix.cso import AffineCso, AffineMap, make_cso
+from csofix.errors import PreconditionError
 from csofix.series import DiscSeries, make_series
 
 SEED = 20260825
@@ -22,6 +26,44 @@ def no_matrix_builds(monkeypatch):
     for module, name in ((cso, "operator_matrix"), (fixpoint, "operator_matrix"),
                          (cso, "_conjugated_matrix")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def monomial(n: int, radius: float) -> DiscSeries:
+    """The basis function z^n on D_radius."""
+    c = np.zeros(n + 1, dtype=complex)
+    c[n] = 1.0
+    return DiscSeries(float(radius), c)
+
+
+def with_tail(f: DiscSeries, tail_bound: float) -> DiscSeries:
+    return DiscSeries(f.radius, f.coeffs, float(tail_bound))
+
+
+def differentiate(f: DiscSeries) -> DiscSeries:
+    """Termwise derivative of the retained coefficients (tail dropped)."""
+    return DiscSeries(f.radius, f.coeffs[1:] * np.arange(1, len(f.coeffs)))
+
+
+def map_from_shift(s: complex, t: complex) -> AffineMap:
+    """The map z -> s z + t in fixed-point form (needs s != 1)."""
+    s, t = complex(s), complex(t)
+    if s == 1:
+        raise PreconditionError("s = 1 has no fixed point")
+    return AffineMap(s, t / (1 - s))
+
+
+def serialize_config(cfg: OperatorConfig) -> str:
+    """Config text that `cli.parse_config` reads back as cfg."""
+    doc = {
+        "terms": [{"a": [a.real, a.imag],
+                   "s": [m.s.real, m.s.imag],
+                   "fix": [m.z_fix.real, m.z_fix.imag]}
+                  for a, m in cfg.cso.terms],
+        "radius": cfg.radius,
+        "mu": cfg.mu,
+        "truncation": cfg.truncation,
+    }
+    return json.dumps(doc)
 
 
 def rand_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import SEED, rand_disc, random_poly, random_tame_cso
+from conftest import SEED, map_from_shift, rand_disc, random_poly, random_tame_cso
 from csofix.cso import (
     AffineMap,
     analytic_ratio_bound,
@@ -22,7 +22,6 @@ from csofix.cso import (
     basis_ratio_scan,
     certified_contraction_rate,
     make_cso,
-    map_from_shift,
     operator_matrix,
     pinned,
     poly_fixed_points,

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from csofix.cli import main, parse_config, serialize_config
+from conftest import serialize_config
+from csofix.cli import main, parse_config
 from csofix.errors import PreconditionError
+from csofix.fixpoint import MAX_TRUNCATION
 
 W = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "golden_m.json")
@@ -254,6 +256,23 @@ def test_overflowing_weights_rejected_before_any_matrix(capsys, no_matrix_builds
     assert code == 2 and report is None
     assert err == ("error: truncation N=1100 is too long for D_2.0: "
                    "R^n overflows for n >= 1024\n")
+
+
+@pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 10 ** 400])
+@pytest.mark.parametrize("config,argv", [
+    (POLE_CFG, ["--seed-kind", "pole", "--seed-location", "0", "0"]),
+    (GOLDEN_CFG, ["--radius", "1.2", "--seed-location", "0", "0", "--seed-order", "2",
+                  "--route", "derivative"]),
+])
+def test_huge_truncation_exits_2_before_any_matrix(capsys, no_matrix_builds, tmp_path,
+                                                   truncation, config, argv):
+    doc = json.loads(Path(config).read_text())
+    doc["truncation"] = truncation
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    code, report, err = run_cli(capsys, "fixpoint", "--config", str(cfg), *argv)
+    assert code == 2 and report is None
+    assert err == f"error: truncation N exceeds the cap of {MAX_TRUNCATION} coefficients\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])

@@ -8,7 +8,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import rand_disc, random_poly, random_tame_cso
+from conftest import (
+    differentiate,
+    map_from_shift,
+    monomial,
+    rand_disc,
+    random_poly,
+    random_tame_cso,
+    with_tail,
+)
 from csofix import cso
 from csofix.errors import NonSimpleConfigurationError, PreconditionError
 from csofix.cso import (
@@ -26,7 +34,6 @@ from csofix.cso import (
     induced_m,
     induced_norm_bound,
     make_cso,
-    map_from_shift,
     operator_matrix,
     pinned,
     poly_fixed_points,
@@ -39,8 +46,6 @@ from csofix.series import (
     eval_at,
     l1_norm,
     make_series,
-    monomial,
-    with_tail,
     zero_series,
 )
 from csofix.singular import (
@@ -524,7 +529,6 @@ def test_induced_operator():
 
 
 def test_induced_commutes_with_derivative(rng):
-    from csofix.series import differentiate
     for _ in range(30):
         T = random_tame_cso(rng)
         f = random_poly(rng, 1.0, 7)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_disc, random_poly, random_tame_cso
+from conftest import monomial, rand_disc, random_poly, random_tame_cso, with_tail
 from csofix import cso, fixpoint
 from csofix.cso import (
     AffineMap,
@@ -29,7 +29,6 @@ from csofix.series import (
     eval_at,
     l1_norm,
     linear_combine,
-    with_tail,
     zero_series,
 )
 from csofix.singular import (
@@ -61,7 +60,6 @@ def test_neumann_geometric_example():
     T = make_cso([(0.5, AffineMap(0.0, 0.0))])
     h = neumann_inverse(T, zero_series(1.0), 1.0, 1e-12)
     assert np.array_equal(h.coeffs, [0.0])
-    from csofix.series import monomial
     h = neumann_inverse(T, monomial(0, 1.0), 1.0, 1e-12)
     assert abs(h.coeffs[0] - 2.0) < 1e-11
     assert np.all(np.abs(h.coeffs[1:]) == 0.0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from csofix.golden import (
     PHI1,
     PHI2,
     _level_maps,
+    _log1p_row_sums,
     default_figure_grid,
     figure_data,
     general_a_cso,
@@ -137,6 +139,43 @@ def test_word_fixed_point_matches_mpmath(which):
         assert abs(word_fixed_point(which, 10, z) - _mp_word_sum(which, 10, z)) < 1e-12
 
 
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("z,bound", [
+    # the empty word's 1 + w z sits 6.2e-7 and 6.2e-4 from the branch point
+    (-1.0 / W + 1e-6j, 2 * 1.68e-10),
+    (-1.0 / W + 1e-3 + 1e-4j, 2 * 1.71e-13),
+])
+def test_word_fixed_point_near_a_branch_point_matches_mpmath(which, z, bound):
+    assert abs(word_fixed_point(which, 8, z) - _mp_word_sum(which, 8, z)) < bound
+
+
+@pytest.mark.parametrize("which,z,expected", [
+    (1, 1e200 + 1e200j, 7341.198388979177 - 12.566370614359172j),
+    (2, -1e160j, 5861.97600877576 + 0j),
+])
+def test_word_fixed_point_far_out_is_finite_and_quiet(which, z, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = word_fixed_point(which, 3, z)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_word_logs_match_complex_log1p_elementwise():
+    # 1 + z on circles inside (r < 1/2, the hypot fallback) and outside the
+    # band, out to where |1 + z|^2 overflows
+    r = np.array([1e-3, 0.1, 0.3, 0.49, 0.51, 0.9, 1.5, 4.0, 1e3, 1e160, 1e200])
+    theta = np.linspace(-3.0, 3.0, 41)
+    z = (np.multiply.outer(r, np.exp(1j * theta)) - 1.0).reshape(-1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log1p_row_sums(z.real.copy(), z.imag.copy())
+    want = np.log1p(z[:, 0])
+    for part in (np.real, np.imag):
+        ulp = np.spacing(np.maximum(np.abs(part(want)), 1.0))
+        assert np.all(np.abs(part(got) - part(want)) <= 4 * ulp)
+
+
 def test_word_sums_batch_bit_equal_to_scalar_calls():
     pts = oracle_comparison_points() + (0.25 - 0.5j, -1.2)
     for which in (1, 2):
@@ -158,6 +197,7 @@ def test_figure_columns_match_scalar_sums():
 def test_word_sums_share_one_domain_rule():
     # 1 + w phi(-3) < 0 for the empty word: real and on the principal log's cut
     for call in (lambda: word_fixed_point(1, 2, -3.0),
+                 lambda: word_fixed_point(1, 2, complex(-3.0, -0.0)),
                  lambda: word_fixed_point(2, 2, [0.5j, -3.0]),
                  lambda: figure_data([-3.0], 2)):
         with pytest.raises(PreconditionError, match="branch cut"):

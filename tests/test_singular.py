@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_disc
-from csofix.cso import AffineMap, map_from_shift
+from conftest import map_from_shift, rand_disc
+from csofix.cso import AffineMap
 from csofix.errors import NonSimpleConfigurationError, PreconditionError
 from csofix.series import eval_at, l1_norm, make_series, zero_series
 from csofix.singular import (

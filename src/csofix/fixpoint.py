@@ -166,10 +166,9 @@ def _remainder(T: AffineCso, f: SingularFunction, relocate: bool,
     return linear_combine([(1.0, Tf.regular), (-1.0, f.regular)])
 
 
-def _residual(T: AffineCso, f: SingularFunction, tol: float, relocate: bool,
-              n_terms: int, matrix: np.ndarray) -> float:
-    """||T f - f||_R; exit 3 unless T keeps f's singular terms and it is < tol."""
-    residual = l1_norm(_remainder(T, f, relocate, n_terms, matrix))
+def _residual(remainder: DiscSeries, tol: float) -> float:
+    """||T f - f||_R from the remainder T f - f; exit 3 unless it is < tol."""
+    residual = l1_norm(remainder)
     if not residual < tol:
         raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
     return residual
@@ -201,7 +200,7 @@ def _stabilized(T: AffineCso, seed: Union[SeedSpec, SingularFunction], R: float,
     gbar = linear_combine([(1.0, g.regular), (-1.0, Tg.regular)])
     u, iters = _neumann(T, gbar, R, tol, A)
     fstar = SingularFunction(g.terms, linear_combine([(1.0, g.regular), (-1.0, u)]))
-    residual = _residual(T, fstar, tol, relocate, n_terms, A)
+    residual = _residual(_remainder(T, fstar, relocate, n_terms, A), tol)
     return FixedPointResult(fstar, residual, iters,
                             f"generalized_seed({k})" if relocate else "direct")
 
@@ -261,13 +260,17 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
         raise ConvergenceError(
             f"integrated remainder is not a degree-{m - 1} polynomial "
             f"(excess norm {dust:.3e})")
-    qv = np.zeros(m, dtype=complex)
-    qv[:min(m, q.coeffs.size)] = q.coeffs[:m]
-    p = np.linalg.solve(np.eye(m, dtype=complex) - A[:m, :m], qv)
+    r = np.zeros(max(m, q.coeffs.size), dtype=complex)
+    r[:q.coeffs.size] = q.coeffs
+    I_A = np.eye(m, dtype=complex) - A[:m, :m]
+    p = np.linalg.solve(I_A, r[:m])
     corrected = linear_combine([(1.0, h.regular),
                                 (1.0, DiscSeries(R, p, 0.0))])
     fstar = SingularFunction(h.terms, corrected)
-    residual = _residual(T, fstar, tol, False, n_terms, A)
+    # T f* - f* = (T h - h) - (I - A) p: A is upper triangular, so only the
+    # first m coefficients of q move, and the terms already cancelled on h
+    r[:m] -= I_A @ p
+    residual = _residual(DiscSeries(R, r, q.tail_bound), tol)
     return FixedPointResult(fstar, residual, deriv.iterations, f"derivative({m})")
 
 

@@ -25,6 +25,7 @@ from csofix.fixpoint import (
 )
 from csofix.golden import C2, make_M, word_fixed_point
 from csofix.series import (
+    DEFAULT_TRUNCATION,
     DiscSeries,
     eval_at,
     l1_norm,
@@ -325,6 +326,28 @@ def test_golden_solve_applies_T_once_per_step(monkeypatch):
     assert str(res.route) == "generalized_seed(1)"
     assert len(calls) == 3
     assert calls[-1] is res.fixed_point
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_derivative_route_applies_T_three_times(monkeypatch, m):
+    # the derivative's seeded solve (its k = 0 step and its residual) and
+    # T h once; the final residual comes from T h, not from T f*
+    calls = []
+    original = fixpoint.apply_singular
+
+    def counted(T, f, **kwargs):
+        calls.append(f)
+        return original(T, f, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "apply_singular", counted)
+    M = make_M()
+    res = derivative_route_fixed_point(M, 0, m, 1.2, 1e-8)
+    assert str(res.route) == f"derivative({m})"
+    assert len(calls) == 3
+    f = res.fixed_point
+    A = fixpoint._solve_matrix(M, f, DEFAULT_TRUNCATION, 1e-8)
+    direct = l1_norm(fixpoint._remainder(M, f, False, DEFAULT_TRUNCATION, A))
+    assert abs(res.residual_norm - direct) <= 1e-15 * max(1.0, direct)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_disc
+from csofix import golden
 from csofix.cso import AffineMap
 from csofix.errors import PreconditionError
 from csofix.golden import (
@@ -18,6 +19,8 @@ from csofix.golden import (
     PHI2,
     _level_maps,
     _log1p_row_sums,
+    _reference_chunk_sums,
+    _word_levels,
     default_figure_grid,
     figure_data,
     general_a_cso,
@@ -31,6 +34,18 @@ from csofix.golden import (
 )
 
 W = OMEGA
+
+
+@pytest.fixture
+def prefix(monkeypatch):
+    """Set golden._PREFIX for one test; the reference cache, whose chunks
+    follow the prefix, is cleared around it."""
+    def set_prefix(n):
+        _reference_chunk_sums.cache_clear()
+        monkeypatch.setattr(golden, "_PREFIX", n)
+
+    yield set_prefix
+    _reference_chunk_sums.cache_clear()
 
 
 def test_constants_and_operator():
@@ -54,6 +69,19 @@ def test_word_expansion_levels():
         assert math.isclose(np.sum(s * s), (W ** 2 + W ** 4) ** n, rel_tol=1e-10)
     with pytest.raises(PreconditionError):
         next(_level_maps(-1))
+
+
+@pytest.mark.parametrize("prefix_len,depth", [(3, 7), (13, 15)])
+def test_word_levels_factor_the_level_maps(prefix, prefix_len, depth):
+    # chunk c of a level is every prefix word composed with suffix word c
+    prefix(prefix_len)
+    for (s, t), (S, T, sv, tv) in zip(_level_maps(depth), _word_levels(depth),
+                                      strict=True):
+        assert S.size * sv.size == s.size
+        s_f = np.multiply.outer(sv, S).ravel()
+        t_f = (np.multiply.outer(tv, S) + T).ravel()
+        assert np.allclose(s_f, s, rtol=1e-14, atol=0.0)
+        assert np.allclose(t_f, t, rtol=1e-14, atol=1e-15)
 
 
 def test_word_fixed_point_guards():
@@ -88,6 +116,24 @@ def test_identity_partial_products():
     assert float(identity_partial_products(16)[-1]) == prods[-1]
     with pytest.raises(PreconditionError):
         identity_partial_products(-1)
+
+
+def test_identity_partial_products_match_mpmath(prefix):
+    # the product of 2^13 ratios, each formed as 1 + (small term), stays
+    # within a few ulps of the 30-digit product, also through suffixes
+    with mp.workdps(30):
+        w = (mp.sqrt(5) - 1) / 2
+        level, p, exact = [(mp.mpf(1), mp.mpf(0))], mp.mpf(1), []
+        for _ in range(13):
+            p *= mp.fprod((1 + w * (s * w + t)) / (1 + w * (t - s * w))
+                          for s, t in level)
+            exact.append(p)
+            level = [(s * a, s * b + t) for s, t in level
+                     for a, b in ((-w, 0), (w * w, w))]
+    for prefix_len in (golden._PREFIX, 9):
+        prefix(prefix_len)
+        prods = identity_partial_products(12)
+        assert max(abs(prods[d] / exact[d] - 1) for d in range(13)) < 1e-14
 
 
 def test_log_ratio_invariance(rng):
@@ -134,9 +180,14 @@ def _mp_word_sum(which, depth, z):
 
 
 @pytest.mark.parametrize("which", [1, 2])
-def test_word_fixed_point_matches_mpmath(which):
-    for z in (0.3 + 0.4j, -0.7 - 0.2j, 1.1 + 0.05j):
-        assert abs(word_fixed_point(which, 10, z) - _mp_word_sum(which, 10, z)) < 1e-12
+def test_word_fixed_point_matches_mpmath(prefix, which):
+    # shorter prefixes send 9, 7 and 4 of the depth-9 levels through
+    # suffix images
+    for prefix_len, depth in ((golden._PREFIX, 10), (0, 9), (2, 9), (5, 9)):
+        prefix(prefix_len)
+        for z in (0.3 + 0.4j, -0.7 - 0.2j, 1.1 + 0.05j):
+            assert abs(word_fixed_point(which, depth, z)
+                       - _mp_word_sum(which, depth, z)) < 1e-12
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -176,14 +227,56 @@ def test_word_logs_match_complex_log1p_elementwise():
         assert np.all(np.abs(part(got) - part(want)) <= 4 * ulp)
 
 
-def test_word_sums_batch_bit_equal_to_scalar_calls():
+def test_word_sums_batch_bit_equal_to_scalar_calls(prefix):
     pts = oracle_comparison_points() + (0.25 - 0.5j, -1.2)
-    for which in (1, 2):
-        batch = word_fixed_point(which, 12, pts)
-        assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
-        scalar = [word_fixed_point(which, 12, z) for z in pts]
-        assert all(type(v) is complex for v in scalar)
-        assert np.array_equal(batch, scalar)
+    for prefix_len in (golden._PREFIX, 4):
+        prefix(prefix_len)
+        for which in (1, 2):
+            batch = word_fixed_point(which, 12, pts)
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
+            scalar = [word_fixed_point(which, 12, z) for z in pts]
+            assert all(type(v) is complex for v in scalar)
+            assert np.array_equal(batch, scalar)
+
+
+def test_reference_cache_does_not_change_results():
+    pts = (0.4 + 0.3j, -0.2 + 0.1j, 0.7)
+    grid = np.array([-1.3, -0.4, 0.2, 0.8, 1.4])
+
+    def results():
+        return ([word_fixed_point(w, 15, z) for w in (1, 2) for z in pts],
+                [word_fixed_point(w, 15, pts) for w in (1, 2)],
+                figure_data(grid, 15))
+
+    _reference_chunk_sums.cache_clear()
+    cold = results()
+    warm = results()
+    assert cold[0] == warm[0]
+    assert all(np.array_equal(c, w) for c, w in zip(cold[1], warm[1]))
+    assert np.array_equal(cold[2], warm[2])
+    assert not _reference_chunk_sums(C2, True, 15).flags.writeable
+
+
+def test_reference_cache_is_kept_per_level():
+    # one entry per (reference, path, level): a deeper call adds only its
+    # new levels
+    _reference_chunk_sums.cache_clear()
+    word_fixed_point(2, 18, 0.5 + 0.1j)
+    assert _reference_chunk_sums.cache_info().currsize == 19
+    word_fixed_point(2, 19, 0.3 - 0.2j)
+    info = _reference_chunk_sums.cache_info()
+    assert info.currsize == 20 and info.misses == 20 and info.hits == 19
+
+
+@pytest.mark.parametrize("z", [0.4 + 0.3j, -0.3])
+def test_product_identity_ties_the_deep_word_sums(z):
+    # exp(f1 - f2) = w z / (z - 1) P_d holds exactly for the partial sums;
+    # depth 16 walks three levels through suffix images
+    f1, f2 = word_fixed_point(1, 16, z), word_fixed_point(2, 16, z)
+    expected = W * z / (z - 1.0) * identity_partial_products(16)[-1]
+    assert abs(cmath.exp(f1 - f2) / expected - 1.0) < 1e-12
+    table = figure_data([-1.2, -0.3, 0.45, 1.3], 16)
+    assert float(np.max(table[:, 3])) < 1e-12
 
 
 def test_figure_columns_match_scalar_sums():
@@ -204,6 +297,15 @@ def test_word_sums_share_one_domain_rule():
             call()
     # off the real axis the same point is fine
     assert math.isfinite(abs(word_fixed_point(1, 2, -3.0 + 0.1j)))
+
+
+def test_branch_cut_rejection_names_the_point_not_its_image(prefix):
+    # 1 + w phi1(3) = 1 - 3 w^2 < 0 at level 1, reached through a suffix
+    prefix(0)
+    with pytest.raises(PreconditionError, match=r"at \(3\+0j\) is singular"):
+        word_fixed_point(1, 4, 3.0)
+    with pytest.raises(PreconditionError, match=r"at 3\.0 is singular"):
+        figure_data([3.0], 4)
 
 
 def test_sfs_spectrum():

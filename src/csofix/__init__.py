@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .cso import AffineCso, AffineMap, make_cso
 from .series import DiscSeries, make_series
-from .singular import SingularFunction, log_term, make_singular, pole_term
+from .singular import SingularFunction, log_term, pole_term
 
 __all__ = [
     "AffineCso",
@@ -14,6 +14,5 @@ __all__ = [
     "log_term",
     "make_cso",
     "make_series",
-    "make_singular",
     "pole_term",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonSimpleConfigurationError, PreconditionError
-from .series import DEFAULT_TRUNCATION, DiscSeries, linear_combine
+from .series import DEFAULT_TRUNCATION, DiscSeries, linear_combine, require_finite
 from .singular import (
     SingularFunction,
     SingularTerm,
@@ -31,13 +31,6 @@ REL_TOL = 1e-12
 SVD_TOL = 1e-10
 
 
-def _finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise PreconditionError(f"{what} must be finite")
-    return z
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """z -> s*(z - z_fix) + z_fix; |s| < 1, with s = 0 a constant map."""
@@ -46,11 +39,11 @@ class AffineMap:
     z_fix: complex
 
     def __post_init__(self):
-        s = _finite(self.s, "contraction rate")
+        s = require_finite(self.s, "contraction rate")
         if abs(s) >= 1:
             raise PreconditionError(f"contraction rate |{s}| >= 1")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "z_fix", _finite(self.z_fix, "fixed point"))
+        object.__setattr__(self, "z_fix", require_finite(self.z_fix, "fixed point"))
 
     @property
     def t(self) -> complex:
@@ -74,7 +67,7 @@ class AffineCso:
             raise PreconditionError("operator needs at least one term")
         seen = set()
         for a, m in terms:
-            _finite(a, "coefficient")
+            require_finite(a, "coefficient")
             if a == 0:
                 raise PreconditionError("zero coefficient term")
             key = (m.s, m.z_fix)
@@ -474,7 +467,7 @@ def pinned(T: AffineCso, c: complex) -> AffineCso:
     """T_c f = Tf - Tf(c): the original terms plus one degenerate constant
     term -a_i at value map_i(c) per term.  Annihilates constants, so fixed
     points g of T_c that are also fixed by T satisfy g(c) = 0."""
-    c = _finite(c, "pin point")
+    c = require_finite(c, "pin point")
     extra = [(-a, AffineMap(0.0, m(c))) for a, m in T.terms]
     return _merge_cso_terms(list(T.terms) + extra)
 

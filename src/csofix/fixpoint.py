@@ -9,7 +9,14 @@ regular correction:
   direct           the same at k = 0, usable when f0 - T f0 is already
                    regular on the disc;
   derivative (m)   fix the m-th derivative with a pole seed under the
-                   induced operator, integrate back, correct by a polynomial.
+                   induced operator, integrate back to h, and correct by
+                   the degree < m polynomial p with (I - T) p = T h - h on
+                   the first m coefficients.
+
+All three end in one correction step: f* = g - u from a stabilized g, its
+T g and the correction u (u = -p on the derivative route).  T is linear, so
+T f* - f* = (T g - g) - (A u - u), A the operator matrix, is read from the
+last T g and gated against tol; T is never applied to f* itself.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .cso import (
     REL_TOL,
     AffineCso,
+    apply_series,
     apply_singular,
     certified_contraction_rate,
     check_image_discs,
@@ -56,12 +64,6 @@ K_MAX = 8  # stabilization steps before the generalized route gives up
 
 
 @dataclass(frozen=True)
-class SeedSpec:
-    term: SingularTerm
-    matched_index: int
-
-
-@dataclass(frozen=True)
 class FixedPointResult:
     fixed_point: SingularFunction
     residual_norm: float
@@ -69,13 +71,14 @@ class FixedPointResult:
     route: str  # "direct", "generalized_seed(k)" or "derivative(m)"
 
 
-def make_seed(T: AffineCso, term: SingularTerm) -> SeedSpec:
+def make_seed(T: AffineCso, term: SingularTerm) -> SingularTerm:
+    """The seed term itself, once T admits it (exit 2 otherwise)."""
     v = seed_admissibility(T, term)
     if not v.admissible:
         raise AdmissibilityError(
             f"seed {term.kind} at {term.location}: operator coefficient "
             f"{v.coefficient} != required {v.required}")
-    return SeedSpec(term, v.index)
+    return term
 
 
 def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSeries:
@@ -157,55 +160,56 @@ def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int,
     return operator_matrix(T, n)
 
 
-def _remainder(T: AffineCso, f: SingularFunction, relocate: bool,
-               n_terms: int, matrix: np.ndarray) -> DiscSeries:
-    """The regular part of T f - f; exit 3 unless T keeps f's singular terms."""
-    Tf = apply_singular(T, f, relocate=relocate, n_terms=n_terms, matrix=matrix)
-    if _term_diff(Tf, f):
-        raise ConvergenceError("singular terms of T f no longer cancel those of f")
-    return linear_combine([(1.0, Tf.regular), (-1.0, f.regular)])
-
-
-def _residual(remainder: DiscSeries, tol: float) -> float:
-    """||T f - f||_R from the remainder T f - f; exit 3 unless it is < tol."""
-    residual = l1_norm(remainder)
-    if not residual < tol:
-        raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
-    return residual
-
-
-def _stabilized(T: AffineCso, seed: Union[SeedSpec, SingularFunction], R: float,
-                tol: float, n_terms: int, relocate: bool) -> FixedPointResult:
-    """Apply T to the seed g until the singular terms stabilize (least k
-    with terms(T^{k+1} g) = terms(T^k g)), then g - N(g - T g), from that
-    g and its T g, is the fixed point.  With `relocate`, singularities
-    moved to interior preimages are tracked exactly, up to k = K_MAX, so
-    the stabilized term set may be larger than the seed's.  Without it a
-    step can only rescale the terms it keeps, so terms left over at k = 0
-    never cancel later and k = 0 is the only step tried."""
-    g = _as_function(seed, R)
-    A = _solve_matrix(T, g, n_terms, tol)
+def _stabilize(T: AffineCso, g: SingularFunction, A: np.ndarray, relocate: bool,
+               n_terms: int) -> tuple[int, SingularFunction, SingularFunction]:
+    """Apply T to g until the singular terms stabilize: the least k with
+    terms(T^{k+1} g) = terms(T^k g), returned with that g and its T g.
+    With `relocate`, singularities moved to interior preimages are tracked
+    exactly, up to k = K_MAX, so the stabilized term set may be larger than
+    g's.  Without it a step can only rescale the terms it keeps, so terms
+    left over at k = 0 never cancel later and k = 0 is the only step tried."""
     k_max = K_MAX if relocate else 0
     for k in range(k_max + 1):
         Tg = apply_singular(T, g, relocate=relocate, n_terms=n_terms, matrix=A)
         leftovers = _term_diff(Tg, g)
         if not leftovers:
-            break
+            return k, g, Tg
         g = Tg
-    else:
-        t = leftovers[0]
-        raise PreconditionError(
-            f"singular terms never stabilized within k <= {k_max} on D_{R}: "
-            f"uncancelled {t.kind} term at {t.location} (weight {t.weight})")
-    gbar = linear_combine([(1.0, g.regular), (-1.0, Tg.regular)])
-    u, iters = _neumann(T, gbar, R, tol, A)
-    fstar = SingularFunction(g.terms, linear_combine([(1.0, g.regular), (-1.0, u)]))
-    residual = _residual(_remainder(T, fstar, relocate, n_terms, A), tol)
+    t = leftovers[0]
+    raise PreconditionError(
+        f"singular terms never stabilized within k <= {k_max} on D_{g.radius}: "
+        f"uncancelled {t.kind} term at {t.location} (weight {t.weight})")
+
+
+def _correct(T: AffineCso, g: SingularFunction, Tg: SingularFunction,
+             u: DiscSeries, A: np.ndarray, tol: float) -> tuple[SingularFunction, float]:
+    """The correction step of every route: f* = g - u, with ||T f* - f*||_R
+    < tol or exit 3.  T is linear and T g keeps the singular terms of g, so
+    T f* - f* = (T g - g) - (A u - u) is read from the last T g; T is never
+    applied to f* itself."""
+    Au = apply_series(T, u, g.radius, A)
+    residual = l1_norm(linear_combine([(1.0, Tg.regular), (-1.0, g.regular),
+                                       (-1.0, Au), (1.0, u)]))
+    if not residual < tol:
+        raise ConvergenceError(f"residual {residual:.3e} above tolerance {tol}")
+    return SingularFunction(g.terms, linear_combine([(1.0, g.regular), (-1.0, u)])), residual
+
+
+def _stabilized(T: AffineCso, seed: Union[SingularTerm, SingularFunction], R: float,
+                tol: float, n_terms: int, relocate: bool) -> FixedPointResult:
+    """g = T^k seed stabilized, then the correction u = N(g - T g), N the
+    Neumann inverse of I - T, from that g and its T g."""
+    g = _as_function(seed, R)
+    A = _solve_matrix(T, g, n_terms, tol)
+    k, g, Tg = _stabilize(T, g, A, relocate, n_terms)
+    u, iters = _neumann(T, linear_combine([(1.0, g.regular), (-1.0, Tg.regular)]),
+                        R, tol, A)
+    fstar, residual = _correct(T, g, Tg, u, A, tol)
     return FixedPointResult(fstar, residual, iters,
                             f"generalized_seed({k})" if relocate else "direct")
 
 
-def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
+def seeded_fixed_point(T: AffineCso, seed: Union[SingularTerm, SingularFunction],
                        R: float, tol: float,
                        n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
     """Direct route: requires f0 - T f0 already regular on D_R, which holds
@@ -213,7 +217,7 @@ def seeded_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
     return _stabilized(T, seed, R, tol, n_terms, relocate=False)
 
 
-def generalized_seed_fixed_point(T: AffineCso, seed: Union[SeedSpec, SingularFunction],
+def generalized_seed_fixed_point(T: AffineCso, seed: Union[SingularTerm, SingularFunction],
                                  R: float, tol: float,
                                  n_terms: int = DEFAULT_TRUNCATION) -> FixedPointResult:
     """Generalized route: relocated terms allowed, k <= K_MAX steps."""
@@ -253,31 +257,20 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
         U = integrate_from_zero(U)
     h = SingularFunction((log_term(z_i, 1.0),), U)
     A = _solve_matrix(T, h, n_terms, tol)
-    q = _remainder(T, h, False, n_terms, A)
-    dust = q.tail_bound + float(np.sum(np.abs(q.coeffs[m:]) *
-                                       R ** np.arange(m, q.coeffs.size)))
-    if dust > max(tol, 1e-10 * max(1.0, l1_norm(q))):
-        raise ConvergenceError(
-            f"integrated remainder is not a degree-{m - 1} polynomial "
-            f"(excess norm {dust:.3e})")
-    r = np.zeros(max(m, q.coeffs.size), dtype=complex)
-    r[:q.coeffs.size] = q.coeffs
-    I_A = np.eye(m, dtype=complex) - A[:m, :m]
-    p = np.linalg.solve(I_A, r[:m])
-    corrected = linear_combine([(1.0, h.regular),
-                                (1.0, DiscSeries(R, p, 0.0))])
-    fstar = SingularFunction(h.terms, corrected)
-    # T f* - f* = (T h - h) - (I - A) p: A is upper triangular, so only the
-    # first m coefficients of q move, and the terms already cancelled on h
-    r[:m] -= I_A @ p
-    residual = _residual(DiscSeries(R, r, q.tail_bound), tol)
+    _, _, Th = _stabilize(T, h, A, False, n_terms)
+    # u = -p, p the degree < m polynomial with (I - A) p = T h - h on the
+    # first m coefficients; A is upper triangular, so (I - A) p has degree < m
+    q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
+    p = np.linalg.solve(np.eye(m, dtype=complex) - A[:m, :m],
+                        np.pad(q.coeffs, (0, m))[:m])
+    fstar, residual = _correct(T, h, Th, DiscSeries(R, -p), A, tol)
     return FixedPointResult(fstar, residual, deriv.iterations, f"derivative({m})")
 
 
-def _as_function(seed: Union[SeedSpec, SingularFunction], R: float) -> SingularFunction:
+def _as_function(seed: Union[SingularTerm, SingularFunction], R: float) -> SingularFunction:
     if isinstance(seed, SingularFunction):
         if seed.radius != R:
             raise PreconditionError(
                 f"seed lives on D_{seed.radius}, requested D_{R}")
         return seed
-    return SingularFunction((seed.term,), zero_series(R))
+    return SingularFunction((seed,), zero_series(R))

@@ -21,7 +21,7 @@ from .errors import PreconditionError
 DEFAULT_TRUNCATION = 128
 
 
-def _require_finite(z: complex, what: str) -> complex:
+def require_finite(z: complex, what: str) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise PreconditionError(f"{what} must be finite, got {z!r}")
@@ -80,7 +80,7 @@ def _padded_pair(a: np.ndarray, b: np.ndarray):
 
 def make_series(coeffs: Sequence[complex], radius: float) -> DiscSeries:
     """Exact series from explicit coefficients; tail_bound = 0."""
-    vals = [_require_finite(c, "coefficient") for c in coeffs]
+    vals = [require_finite(c, "coefficient") for c in coeffs]
     if not vals:
         vals = [0.0 + 0.0j]
     return DiscSeries(float(radius), np.array(vals, dtype=complex))
@@ -108,7 +108,7 @@ def linear_combine(pairs: Iterable[tuple[complex, DiscSeries]]) -> DiscSeries:
     out = np.zeros(n, dtype=complex)
     tail = 0.0
     for w, f in pairs:
-        w = _require_finite(w, "weight")
+        w = require_finite(w, "weight")
         out[: len(f.coeffs)] += w * f.coeffs
         tail += abs(w) * f.tail_bound
     return DiscSeries(radius, out, tail)
@@ -133,8 +133,8 @@ def log_affine(
     when the singularity -a/b lies strictly outside the closed disc, i.e.
     |b|*radius < |a|.  tail_bound is the geometric tail of the dropped terms.
     """
-    a = _require_finite(a, "a")
-    b = _require_finite(b, "b")
+    a = require_finite(a, "a")
+    b = require_finite(b, "b")
     radius = float(radius)
     if radius <= 0.0:
         raise PreconditionError("radius must be positive")
@@ -157,7 +157,7 @@ def log_affine(
 
 def eval_at(f: DiscSeries, z: complex) -> complex:
     """Horner evaluation of the retained polynomial; |z| must be < radius."""
-    z = _require_finite(z, "evaluation point")
+    z = require_finite(z, "evaluation point")
     if abs(z) >= f.radius:
         raise PreconditionError(
             f"evaluation point |z| = {abs(z):.6g} outside open disc of radius {f.radius:.6g}")

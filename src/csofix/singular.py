@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .series import (
     linear_combine,
     log_affine,
     make_series,
+    require_finite,
     zero_series,
 )
 
@@ -49,10 +50,8 @@ class SingularTerm:
             raise PreconditionError("pole order must be >= 1")
         if self.kind == LOG and self.order != 0:
             raise PreconditionError("log terms carry no order")
-        loc, w = complex(self.location), complex(self.weight)
-        for v, name in ((loc, "location"), (w, "weight")):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise PreconditionError(f"{name} must be finite")
+        loc = require_finite(self.location, "location")
+        w = require_finite(self.weight, "weight")
         if w == 0:
             raise PreconditionError("zero-weight singular terms are not representable")
         object.__setattr__(self, "location", loc)
@@ -78,25 +77,19 @@ class SingularFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        seen = set()
         for t in self.terms:
             if abs(t.location) >= self.regular.radius:
                 raise PreconditionError(
                     f"singular location {t.location} not strictly inside disc"
                     f" of radius {self.regular.radius}")
+            if t.key in seen:
+                raise PreconditionError(f"duplicate singular term {t.key}")
+            seen.add(t.key)
 
     @property
     def radius(self) -> float:
         return self.regular.radius
-
-
-def make_singular(terms: Sequence[SingularTerm], regular: DiscSeries) -> SingularFunction:
-    """Public constructor; rejects duplicate (kind, location, order) keys."""
-    seen = set()
-    for t in terms:
-        if t.key in seen:
-            raise PreconditionError(f"duplicate singular term {t.key}")
-        seen.add(t.key)
-    return SingularFunction(tuple(terms), regular)
 
 
 def purely_regular(g: DiscSeries) -> SingularFunction:

@@ -5,9 +5,10 @@ import pytest
 
 from csofix import cso, fixpoint
 from csofix.cli import OperatorConfig
-from csofix.cso import AffineCso, AffineMap, make_cso
+from csofix.cso import AffineCso, AffineMap, apply_singular, make_cso
 from csofix.errors import PreconditionError
-from csofix.series import DiscSeries, make_series
+from csofix.series import DEFAULT_TRUNCATION, DiscSeries, l1_norm, linear_combine, make_series
+from csofix.singular import SingularFunction
 
 SEED = 20260825
 
@@ -64,6 +65,17 @@ def serialize_config(cfg: OperatorConfig) -> str:
         "truncation": cfg.truncation,
     }
     return json.dumps(doc)
+
+
+def residual_norm(T: AffineCso, f: SingularFunction,
+                  n_terms: int = DEFAULT_TRUNCATION) -> float:
+    """||T f - f||_R from scratch: T applied to f itself, with a freshly built
+    matrix, after checking that T f keeps the singular terms of f."""
+    Tf = apply_singular(T, f, relocate=True, n_terms=n_terms)
+    assert [t.key for t in Tf.terms] == [t.key for t in f.terms]
+    assert all(abs(a.weight - b.weight) <= 1e-12 * max(1.0, abs(b.weight))
+               for a, b in zip(Tf.terms, f.terms))
+    return l1_norm(linear_combine([(1.0, Tf.regular), (-1.0, f.regular)]))
 
 
 def rand_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import serialize_config
+from conftest import monomial, serialize_config
+from csofix import fixpoint
 from csofix.cli import main, parse_config
 from csofix.errors import PreconditionError
 from csofix.fixpoint import MAX_TRUNCATION
+from csofix.series import linear_combine
 
 W = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "golden_m.json")
@@ -421,3 +423,19 @@ def test_golden_digest_covers_what_the_subcommand_reads(capsys):
     assert report["inputs_digest"] == digest({"cmd": "identity", "depth": 10})
     _, report, _ = run_cli(capsys, "golden", "sfs", "--depth", "2")
     assert report["inputs_digest"] == digest({"cmd": "sfs", "depth": 2})
+
+
+def test_derivative_route_non_polynomial_remainder_exits_3(capsys, monkeypatch):
+    # an integration that adds z^(m+1) leaves T h - h with a part no degree
+    # < m correction removes; the residual gate rejects it
+    original = fixpoint.integrate_from_zero
+
+    def skewed(f):
+        return linear_combine([(1.0, original(f)), (1.0, monomial(3, f.radius))])
+
+    monkeypatch.setattr(fixpoint, "integrate_from_zero", skewed)
+    code, report, err = run_cli(
+        capsys, "fixpoint", "--config", GOLDEN_CFG, "--radius", "1.2",
+        "--seed-location", "0", "0", "--seed-order", "2", "--route", "derivative")
+    assert code == 3 and report is None
+    assert err.startswith("error: residual ") and " above tolerance 1e-08" in err

@@ -49,9 +49,9 @@ from csofix.series import (
     zero_series,
 )
 from csofix.singular import (
+    SingularFunction,
     eval_singular,
     log_term,
-    make_singular,
     pole_term,
     pullback_term,
 )
@@ -261,7 +261,7 @@ def test_apply_rejects_escaping_image():
     with pytest.raises(PreconditionError, match="image disc escapes domain"):
         apply_series(T, monomial(3, 0.9), 0.9)
     with pytest.raises(PreconditionError, match="image disc escapes domain"):
-        apply_singular(T, make_singular([], monomial(3, 0.9)))
+        apply_singular(T, SingularFunction([], monomial(3, 0.9)))
 
 
 def test_basis_image_norm_golden_values():
@@ -591,7 +591,7 @@ def test_seed_admissibility():
 
 def test_apply_singular_simple_set(rng):
     T = golden_op()
-    f = make_singular([log_term(0.0)], zero_series(1.5))
+    f = SingularFunction([log_term(0.0)], zero_series(1.5))
     out = apply_singular(T, f)
     assert out.terms == (log_term(0.0),)
     for _ in range(10):
@@ -602,7 +602,7 @@ def test_apply_singular_simple_set(rng):
 
 def test_apply_singular_gates_and_relocates():
     T = golden_op()
-    f = make_singular([log_term(1.0)], zero_series(2.0))
+    f = SingularFunction([log_term(1.0)], zero_series(2.0))
     with pytest.raises(NonSimpleConfigurationError):
         apply_singular(T, f)
     out = apply_singular(T, f, relocate=True)

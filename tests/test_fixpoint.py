@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import monomial, rand_disc, random_poly, random_tame_cso, with_tail
+from conftest import (
+    monomial,
+    rand_disc,
+    random_poly,
+    random_tame_cso,
+    residual_norm,
+    with_tail,
+)
 from csofix import cso, fixpoint
 from csofix.cso import (
     AffineMap,
@@ -25,7 +32,6 @@ from csofix.fixpoint import (
 )
 from csofix.golden import C2, make_M, word_fixed_point
 from csofix.series import (
-    DEFAULT_TRUNCATION,
     DiscSeries,
     eval_at,
     l1_norm,
@@ -50,8 +56,8 @@ def pole_op():
 
 def test_make_seed():
     M = make_M()
-    seed = make_seed(M, log_term(1.0))
-    assert seed.matched_index == 1
+    term = log_term(1.0)
+    assert make_seed(M, term) is term
     with pytest.raises(AdmissibilityError) as e:
         make_seed(M, pole_term(0.0, 2))
     assert "required" in str(e.value)
@@ -311,8 +317,8 @@ def test_convergence_error_on_tiny_budget(monkeypatch):
 
 
 def test_golden_solve_applies_T_once_per_step(monkeypatch):
-    # two stabilization steps (k = 0, 1), whose last T g the Neumann solve
-    # reuses, and the residual check: three applications, not four
+    # two stabilization steps (k = 0, 1), whose last T g serves both the
+    # Neumann solve and the residual: two applications, none to f*
     calls = []
     original = fixpoint.apply_singular
 
@@ -324,14 +330,14 @@ def test_golden_solve_applies_T_once_per_step(monkeypatch):
     Mc = pinned(make_M(), C2)
     res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
     assert str(res.route) == "generalized_seed(1)"
-    assert len(calls) == 3
-    assert calls[-1] is res.fixed_point
+    assert len(calls) == 2
+    assert calls[-1].terms == res.fixed_point.terms
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_derivative_route_applies_T_three_times(monkeypatch, m):
-    # the derivative's seeded solve (its k = 0 step and its residual) and
-    # T h once; the final residual comes from T h, not from T f*
+def test_derivative_route_applies_T_twice(monkeypatch, m):
+    # the derivative's seeded solve (its k = 0 step) and T h once; the final
+    # residual comes from T h, not from T f*
     calls = []
     original = fixpoint.apply_singular
 
@@ -340,13 +346,25 @@ def test_derivative_route_applies_T_three_times(monkeypatch, m):
         return original(T, f, **kwargs)
 
     monkeypatch.setattr(fixpoint, "apply_singular", counted)
-    M = make_M()
-    res = derivative_route_fixed_point(M, 0, m, 1.2, 1e-8)
+    res = derivative_route_fixed_point(make_M(), 0, m, 1.2, 1e-8)
     assert str(res.route) == f"derivative({m})"
-    assert len(calls) == 3
-    f = res.fixed_point
-    A = fixpoint._solve_matrix(M, f, DEFAULT_TRUNCATION, 1e-8)
-    direct = l1_norm(fixpoint._remainder(M, f, False, DEFAULT_TRUNCATION, A))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("route", ["direct", "generalized", 1, 2, 3, 4])
+def test_reported_residual_is_T_f_minus_f(route):
+    # every route reads T f* - f* from its last T g; applying T to f* itself
+    # gives the same norm
+    if route == "direct":
+        T = pole_op()
+        res = seeded_fixed_point(T, make_seed(T, pole_term(0.0, 1)), 4.0, 1e-8)
+    elif route == "generalized":
+        T = pinned(make_M(), C2)
+        res = generalized_seed_fixed_point(T, make_seed(T, log_term(1.0)), 2.0, 1e-8)
+    else:
+        T = make_M()
+        res = derivative_route_fixed_point(T, 0, route, 1.2, 1e-8)
+    direct = residual_norm(T, res.fixed_point)
     assert abs(res.residual_norm - direct) <= 1e-15 * max(1.0, direct)
 
 

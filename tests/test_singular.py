@@ -9,11 +9,11 @@ from csofix.cso import AffineMap
 from csofix.errors import NonSimpleConfigurationError, PreconditionError
 from csofix.series import eval_at, l1_norm, make_series, zero_series
 from csofix.singular import (
+    SingularFunction,
     SingularTerm,
     eval_singular,
     eval_term,
     log_term,
-    make_singular,
     merge_terms,
     pole_term,
     pullback_term,
@@ -41,10 +41,10 @@ def test_term_validation():
 
 def test_function_validation():
     with pytest.raises(PreconditionError):
-        make_singular([log_term(2.0)], zero_series(1.0))
-    with pytest.raises(PreconditionError):
-        make_singular([log_term(0.0), log_term(0.0, 2.0)], zero_series(1.0))
-    f = make_singular([log_term(0.0), pole_term(0.0, 1)], zero_series(1.0))
+        SingularFunction([log_term(2.0)], zero_series(1.0))
+    with pytest.raises(PreconditionError, match="duplicate singular term"):
+        SingularFunction([log_term(0.0), log_term(0.0, 2.0)], zero_series(1.0))
+    f = SingularFunction([log_term(0.0), pole_term(0.0, 1)], zero_series(1.0))
     assert unbounded_set(f) == {0.0}
     assert f.radius == 1.0
 
@@ -59,7 +59,7 @@ def test_eval_term_values():
 
 
 def test_eval_singular_sums_parts():
-    f = make_singular([pole_term(0.0, 1)], make_series([1.0, 2.0], 1.0))
+    f = SingularFunction([pole_term(0.0, 1)], make_series([1.0, 2.0], 1.0))
     assert eval_singular(f, 0.5) == 2.0 + 2.0
     with pytest.raises(PreconditionError):
         eval_singular(f, 1.0)

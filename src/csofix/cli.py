@@ -205,7 +205,6 @@ def run_fixpoint(cfg: OperatorConfig, kind: str, location: complex, order: int,
     return {
         "route": str(result.route),
         "radius": R,
-        "iterations": result.iterations,
         "residual": {"value": result.residual_norm, "tolerance": tol},
         "terms": [{"kind": t.kind, "location": _c(t.location),
                    "weight": _c(t.weight), "order": t.order} for t in f.terms],

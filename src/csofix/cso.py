@@ -386,11 +386,13 @@ def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
     can never hold again (the majorant is nonincreasing in m)."""
     if m_max < 0:
         raise PreconditionError("m_max must be >= 0")
-    degrees = []
-    for m in range(m_max + 1):
-        sigma = coefficient_power_sum(T, m)
-        if abs(sigma - 1.0) <= REL_TOL * max(1.0, abs(sigma)):
-            degrees.append(m)
+    # power[m, i] = s_i^m, then sigma[m] = sum_i a_i s_i^m, all m at once
+    power = np.ones((m_max + 1, T.ell), dtype=complex)
+    power[1:] = [mp.s for mp in T.maps]
+    np.cumprod(power, axis=0, out=power)
+    sigma = (power * np.array(T.coefficients, dtype=complex)).sum(axis=1)
+    degrees = np.flatnonzero(
+        np.abs(sigma - 1.0) <= REL_TOL * np.maximum(1.0, np.abs(sigma)))
     # least m with induced_norm_bound(T, m) < 1 - REL_TOL, by doubling and
     # then bisection: the bound is >= 1 - REL_TOL at lo (or lo = -1), < at hi
     lo, hi = -1, 0
@@ -399,7 +401,7 @@ def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if induced_norm_bound(T, mid) < 1.0 - REL_TOL else (mid, hi)
-    return PolyDegreeScan(tuple(degrees), hi)
+    return PolyDegreeScan(tuple(degrees.tolist()), hi)
 
 
 def poly_fixed_points(T: AffineCso, m: int) -> list[np.ndarray]:

@@ -18,4 +18,4 @@ class NonSimpleConfigurationError(PreconditionError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration failed to reach the requested tolerance."""
+    """A computed result missed the requested tolerance."""

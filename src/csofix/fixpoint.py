@@ -4,8 +4,7 @@ Three construction routes, all returning the singular seed plus a computed
 regular correction:
 
   generalized (k)  apply T to the seed f0 until the singular terms
-                   stabilize, g = T^k f0, then f* = g - N(g - T g), N the
-                   Neumann inverse of I - T;
+                   stabilize, g = T^k f0, then f* = g - (I - T)^-1 (g - T g);
   direct           the same at k = 0, usable when f0 - T f0 is already
                    regular on the disc;
   derivative (m)   fix the m-th derivative with a pole seed under the
@@ -13,17 +12,22 @@ regular correction:
                    the degree < m polynomial p with (I - T) p = T h - h on
                    the first m coefficients.
 
+The operator matrix A is upper triangular, so every correction solve
+(I - A) u = q is a blocked back substitution (_back_substitute).
+
 All three end in one correction step: f* = g - u from a stabilized g, its
 T g and the correction u (u = -p on the derivative route).  T is linear, so
-T f* - f* = (T g - g) - (A u - u), A the operator matrix, is read from the
-last T g and gated against tol; T is never applied to f* itself.
+T f* - f* = (T g - g) - (A u - u) is read from the last T g and gated
+against tol; T is never applied to f* itself.
+
+neumann_inverse, which no route calls, is the reference for that solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -58,7 +62,8 @@ from .singular import (
     pole_term,
 )
 
-MAX_ITER = 50_000  # Neumann iterations before exit 3
+MAX_ITER = 50_000  # neumann_inverse iterations before exit 3
+BLOCK = 32  # columns per block of the back substitution
 MAX_TRUNCATION = 4096  # coefficients; the N x N matrix is 16 N^2 B, 256 MiB here
 K_MAX = 8  # stabilization steps before the generalized route gives up
 
@@ -67,7 +72,6 @@ K_MAX = 8  # stabilization steps before the generalized route gives up
 class FixedPointResult:
     fixed_point: SingularFunction
     residual_norm: float
-    iterations: int
     route: str  # "direct", "generalized_seed(k)" or "derivative(m)"
 
 
@@ -79,15 +83,6 @@ def make_seed(T: AffineCso, term: SingularTerm) -> SingularTerm:
             f"seed {term.kind} at {term.location}: operator coefficient "
             f"{v.coefficient} != required {v.required}")
     return term
-
-
-def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSeries:
-    """Solve (I - T) h = g on D_R by summing T^n g.
-
-    Stops once the increment norm drops below tol*(1 - K), K the certified
-    contraction rate, so the residual bound ||(I-T)h - g|| < tol holds.
-    """
-    return _neumann(T, g, R, tol)[0]
 
 
 def _weights(R: float, n: int, tol: float) -> np.ndarray:
@@ -110,28 +105,40 @@ def _weights(R: float, n: int, tol: float) -> np.ndarray:
     return rpow
 
 
-def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
-             matrix: Optional[np.ndarray] = None) -> tuple[DiscSeries, int]:
-    rpow = _weights(R, g.coeffs.size, tol)
-    # increment slack is tightened to K times the previous slack, which the
-    # certified rate justifies; the raw per-term bound compounds by sum|a_i|
+def _contraction_rate(T: AffineCso, R: float) -> float:
+    """The certified rate K < 1 of T on D_R (exit 2 otherwise), with every
+    image disc inside D_R, so that each application of T shrinks a dropped
+    tail by K."""
     K = certified_contraction_rate(T, R)
     if not K < 1.0:
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
-    stop = tol * (1.0 - K)
-    g = DiscSeries(R, g.coeffs, g.tail_bound)
-    # every term lives on D_R, so the image check of apply_series is the same
-    # on each iteration and is made once; the loop runs on raw arrays and
-    # keeps the finiteness check a DiscSeries makes of each new term
     check_image_discs(T, R, R)
-    A = operator_block(T, matrix, g.coeffs.size)
+    return K
+
+
+def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSeries:
+    """Solve (I - T) h = g on D_R by summing T^n g.
+
+    Stops once the increment norm drops below tol*(1 - K), K the certified
+    contraction rate, so the residual bound ||(I-T)h - g|| < tol holds.
+    Exit 3 after MAX_ITER terms.  The routes solve by back substitution
+    instead; this sum is the independent reference they are tested against.
+    """
+    rpow = _weights(R, g.coeffs.size, tol)
+    # increment slack is tightened to K times the previous slack, which the
+    # certified rate justifies; the raw per-term bound compounds by sum|a_i|
+    K = _contraction_rate(T, R)
+    stop = tol * (1.0 - K)
+    # the loop runs on raw arrays and keeps the finiteness check a
+    # DiscSeries makes of each new term
+    A = operator_block(T, None, g.coeffs.size)
     term, tail = g.coeffs, g.tail_bound
     total = np.zeros(term.size, dtype=complex)
     total_tail = 0.0
     for n in range(MAX_ITER):
         if float(np.abs(term) @ rpow) + tail < stop:
             # nothing summed at n = 0: the one-coefficient zero series
-            return DiscSeries(R, total if n else total[:1], total_tail), n
+            return DiscSeries(R, total if n else total[:1], total_tail)
         total += term
         total_tail += tail
         term = A @ term
@@ -141,6 +148,34 @@ def _neumann(T: AffineCso, g: DiscSeries, R: float, tol: float,
     raise ConvergenceError(
         f"Neumann series did not reach {tol} in {MAX_ITER} iterations "
         f"(rate {K:.6f}, last increment {float(np.abs(term) @ rpow) + tail:.3e})")
+
+
+def _back_substitute(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with (I - A) x = b, A upper triangular with no diagonal entry 1.
+
+    From the last block of BLOCK columns up: move the columns of the blocks
+    already solved to the right-hand side, then solve with the block's own
+    diagonal block of I - A.  Partial pivoting never swaps rows of an
+    upper-triangular matrix, so each block solve is a back substitution,
+    which is componentwise backward stable (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 8.5).  Only the diagonal blocks of I - A
+    are formed."""
+    n = b.size
+    x = np.empty(n, dtype=complex)
+    for lo in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
+        hi = min(lo + BLOCK, n)
+        rhs = b[lo:hi] if hi == n else b[lo:hi] + A[lo:hi, hi:] @ x[hi:]
+        x[lo:hi] = np.linalg.solve(np.eye(hi - lo, dtype=complex) - A[lo:hi, lo:hi], rhs)
+    return x
+
+
+def _solve(T: AffineCso, q: DiscSeries, R: float, A: np.ndarray) -> DiscSeries:
+    """u = (I - T)^-1 q on D_R by back substitution on the leading block
+    of A.  T maps polynomials of degree < n to themselves, so the truncated
+    system is exact, and the dropped tail of q costs at most tail/(1 - K)."""
+    K = _contraction_rate(T, R)
+    u = _back_substitute(operator_block(T, A, q.coeffs.size), q.coeffs)
+    return DiscSeries(R, u, q.tail_bound / (1.0 - K))
 
 
 def _term_diff(a: SingularFunction, b: SingularFunction) -> tuple:
@@ -197,15 +232,14 @@ def _correct(T: AffineCso, g: SingularFunction, Tg: SingularFunction,
 
 def _stabilized(T: AffineCso, seed: Union[SingularTerm, SingularFunction], R: float,
                 tol: float, n_terms: int, relocate: bool) -> FixedPointResult:
-    """g = T^k seed stabilized, then the correction u = N(g - T g), N the
-    Neumann inverse of I - T, from that g and its T g."""
+    """g = T^k seed stabilized, then the correction u = (I - T)^-1 (g - T g)
+    from that g and its T g."""
     g = _as_function(seed, R)
     A = _solve_matrix(T, g, n_terms, tol)
     k, g, Tg = _stabilize(T, g, A, relocate, n_terms)
-    u, iters = _neumann(T, linear_combine([(1.0, g.regular), (-1.0, Tg.regular)]),
-                        R, tol, A)
+    u = _solve(T, linear_combine([(1.0, g.regular), (-1.0, Tg.regular)]), R, A)
     fstar, residual = _correct(T, g, Tg, u, A, tol)
-    return FixedPointResult(fstar, residual, iters,
+    return FixedPointResult(fstar, residual,
                             f"generalized_seed({k})" if relocate else "direct")
 
 
@@ -251,7 +285,12 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     weight = math.factorial(m - 1) * (-1.0) ** (m - 1)
     seed = make_seed(Tm, pole_term(z_i, m, weight))
     inner_tol = tol / (4.0 * max(1.0, R) ** m)
-    deriv = seeded_fixed_point(Tm, seed, R, inner_tol, n_terms)
+    try:
+        deriv = seeded_fixed_point(Tm, seed, R, inner_tol, n_terms)
+    except ConvergenceError as e:
+        raise ConvergenceError(
+            f"induced operator's order-{m} solve, at its tolerance "
+            f"tol/(4 max(1, R)^{m}) for tol {tol}: {e}") from None
     U = deriv.fixed_point.regular
     for _ in range(m):
         U = integrate_from_zero(U)
@@ -261,10 +300,9 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     # u = -p, p the degree < m polynomial with (I - A) p = T h - h on the
     # first m coefficients; A is upper triangular, so (I - A) p has degree < m
     q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
-    p = np.linalg.solve(np.eye(m, dtype=complex) - A[:m, :m],
-                        np.pad(q.coeffs, (0, m))[:m])
+    p = _back_substitute(A[:m, :m], np.pad(q.coeffs, (0, m))[:m])
     fstar, residual = _correct(T, h, Th, DiscSeries(R, -p), A, tol)
-    return FixedPointResult(fstar, residual, deriv.iterations, f"derivative({m})")
+    return FixedPointResult(fstar, residual, f"derivative({m})")
 
 
 def _as_function(seed: Union[SingularTerm, SingularFunction], R: float) -> SingularFunction:

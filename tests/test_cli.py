@@ -236,8 +236,21 @@ def test_fixpoint_derivative_route_past_closed_form(capsys, tmp_path):
         "--route", "derivative")
     assert code == 0
     out = report["outputs"]
-    assert out["route"] == "derivative(2)" and out["iterations"] == 32
+    assert out["route"] == "derivative(2)" and "iterations" not in out
     assert out["residual"]["value"] < out["residual"]["tolerance"] == 1e-8
+
+
+def test_fixpoint_derivative_stage_names_its_tolerance(capsys):
+    # the induced operator's solve runs at tol / (4 max(1, R)^m); its exit 3
+    # names that stage, its own tolerance and the tolerance asked for
+    code, report, err = run_cli(
+        capsys, "fixpoint", "--config", GOLDEN_CFG, "--route", "derivative",
+        "--seed-location", "0", "0", "--seed-order", "2", "--tol", "1e-15",
+        "--radius", "1.2")
+    assert code == 3 and report is None
+    assert err.startswith("error: induced operator's order-2 solve, at its tolerance "
+                          "tol/(4 max(1, R)^2) for tol 1e-15: residual ")
+    assert err.endswith(" above tolerance 1.7361111111111112e-16\n")
 
 
 def test_fixpoint_overflowing_weights_exit_2(capsys, tmp_path):

@@ -30,7 +30,7 @@ from csofix.fixpoint import (
     neumann_inverse,
     seeded_fixed_point,
 )
-from csofix.golden import C2, make_M, word_fixed_point
+from csofix.golden import C1, C2, make_M, word_fixed_point
 from csofix.series import (
     DiscSeries,
     eval_at,
@@ -87,22 +87,18 @@ def test_neumann_builds_operator_matrix_once(monkeypatch, rng):
 
     monkeypatch.setattr(cso, "operator_matrix", build)
     monkeypatch.setattr(fixpoint, "operator_matrix", build)
-    _, iterations = fixpoint._neumann(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10)
-    assert iterations > 10
+    neumann_inverse(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-10)
     assert builds == [Mc]
     # a whole solve builds one matrix per operator, on every route
     builds.clear()
-    res = generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
-    assert res.iterations > 10
+    generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0, 1e-8)
     assert builds == [Mc]
     builds.clear()
-    res = seeded_fixed_point(T, make_seed(T, pole_term(0.0, 1)), 4.0, 1e-8)
-    assert res.iterations > 10
+    seeded_fixed_point(T, make_seed(T, pole_term(0.0, 1)), 4.0, 1e-8)
     assert builds == [T]
     builds.clear()
     # one for the induced operator's inner solve, one for T itself
-    res = derivative_route_fixed_point(M, 0, 3, 1.2, 1e-8)
-    assert res.iterations > 10
+    derivative_route_fixed_point(M, 0, 3, 1.2, 1e-8)
     assert builds == [Tm, M]
 
 
@@ -308,12 +304,11 @@ def test_seed_radius_mismatch():
         seeded_fixed_point(T, f0, 4.0, 1e-8)
 
 
-def test_convergence_error_on_tiny_budget(monkeypatch):
+def test_convergence_error_on_tiny_budget(monkeypatch, rng):
     Mc = pinned(make_M(), W)
     monkeypatch.setattr(fixpoint, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
-        generalized_seed_fixed_point(Mc, make_seed(Mc, log_term(1.0)), 2.0,
-                                     1e-8)
+        neumann_inverse(Mc, random_poly(rng, 2.0, 63), 2.0, 1e-8)
 
 
 def test_golden_solve_applies_T_once_per_step(monkeypatch):
@@ -381,3 +376,56 @@ def test_bad_tolerance_rejected_before_any_matrix(no_matrix_builds, tol):
         with pytest.raises(PreconditionError) as e:
             solve()
         assert str(e.value) == "tolerance must be positive and finite"
+
+
+def route_correction(T, seed, R, relocate, n):
+    """The right-hand side q = g - T g of a route's correction solve, the
+    route's u and the certified rate: the route's own steps, stopped before
+    the residual gate."""
+    g = SingularFunction((seed,), zero_series(R))
+    A = fixpoint._solve_matrix(T, g, n, 1e-8)
+    _, g, Tg = fixpoint._stabilize(T, g, A, relocate, n)
+    q = linear_combine([(1.0, g.regular), (-1.0, Tg.regular)])
+    return q, fixpoint._solve(T, q, R, A), certified_contraction_rate(T, R)
+
+
+def solve_cases():
+    rng = np.random.default_rng(7)
+    M = make_M()
+    cases = [(pinned(M, c), log_term(1.0), 2.0, True, 128) for c in (C1, C2)]
+    cases.append((pole_op(), pole_term(0.0, 1), 4.0, False, 128))
+    for _ in range(3):
+        T = random_tame_cso(rng)
+        cases.append((T, log_term(T.maps[0].z_fix), 1.0, False, 48))
+    cases.append((induced_m(M, 3), pole_term(0.0, 3, 2.0), 1.2, False, 128))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_route_solve_matches_neumann_reference(case):
+    # the back substitution the routes use and the Neumann sum kept as the
+    # reference agree within the Neumann stopping error
+    T, seed, R, relocate, n = solve_cases()[case]
+    tol = 1e-10
+    q, u, K = route_correction(T, seed, R, relocate, n)
+    ref = neumann_inverse(T, q, R, tol)
+    diff = linear_combine([(1.0, u), (-1.0, ref)])
+    assert l1_norm(diff) - diff.tail_bound <= tol / (1.0 - K)
+    assert u.tail_bound == q.tail_bound / (1.0 - K)
+
+
+@pytest.mark.parametrize("loc", [0.0, 1.0])
+def test_pinned_solutions_differ_by_a_constant(loc):
+    # a fixed point g of T_c has M g - g = (M g)(c), a constant, so the
+    # pinned-C1 and pinned-C2 solutions with the same seed differ by one
+    M = make_M()
+    f1, f2 = (generalized_seed_fixed_point(pinned(M, c), log_term(loc), 2.0, 1e-12,
+                                           n_terms=256).fixed_point for c in (C1, C2))
+    assert [t.key for t in f1.terms] == [t.key for t in f2.terms]
+    singular = [t.location for t in f1.terms]
+    points = [1.7 * cmath.exp(1j * a) * r for a, r in zip(
+        np.linspace(0.3, 6.0, 8), (1.0, 0.5, 0.9, 0.7, 1.0, 0.6, 0.8, 0.95))]
+    assert all(abs(z) < 1.8 and min(abs(z - s) for s in singular) > 0.2 for z in points)
+    diffs = [eval_singular(f1, z) - eval_singular(f2, z) for z in points]
+    kappa = diffs[0]
+    assert max(abs(d - kappa) for d in diffs) <= 1e-14

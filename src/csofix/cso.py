@@ -1,9 +1,10 @@
 """Affine composition-sum operators Tf = sum_i a_i f(s_i (z - z_i) + z_i).
 
 Construction and validation, application to disc series and to singular
-functions, l1 contraction diagnostics on D_R, polynomial fixed-point
-detection, the derived operators (induced coefficient twist, pinning,
-projection), and the structural predicates used to admit singular seeds.
+functions, the one back substitution for I - A on the triangular operator
+matrix, l1 contraction diagnostics on D_R, polynomial fixed points, the
+derived operators (induced coefficient twist, pinning, projection), and the
+structural predicates used to admit singular seeds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .singular import (
 )
 
 REL_TOL = 1e-12
-SVD_TOL = 1e-10
+BLOCK = 32  # columns per block of back_substitute
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,25 @@ def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
             rows[:, 0] *= t[:, 0]
             A[: k + 1, k] = rows[:, : k + 1].sum(axis=0)
     return A
+
+
+def back_substitute(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with (I - A) x = b, A upper triangular with no diagonal entry 1.
+
+    From the last block of BLOCK columns up: move the columns of the blocks
+    already solved to the right-hand side, then solve with the block's own
+    diagonal block of I - A.  Partial pivoting never swaps rows of an
+    upper-triangular matrix, so each block solve is a back substitution,
+    which is componentwise backward stable (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 8.5).  Only the diagonal blocks of I - A
+    are formed."""
+    n = b.size
+    x = np.empty(n, dtype=complex)
+    for lo in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
+        hi = min(lo + BLOCK, n)
+        rhs = b[lo:hi] if hi == n else b[lo:hi] + A[lo:hi, hi:] @ x[hi:]
+        x[lo:hi] = np.linalg.solve(np.eye(hi - lo, dtype=complex) - A[lo:hi, lo:hi], rhs)
+    return x
 
 
 def operator_block(T: AffineCso, matrix: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -370,10 +390,6 @@ def contraction_report(T: AffineCso, mu: float, R: float,
     return ContractionReport(mu, R0, contraction_certificate(T, R, n_max))
 
 
-def coefficient_power_sum(T: AffineCso, m: int) -> complex:
-    return sum(a * mp.s ** m for a, mp in T.terms)
-
-
 @dataclass(frozen=True)
 class PolyDegreeScan:
     degrees: tuple[int, ...]
@@ -405,31 +421,41 @@ def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
 
 
 def poly_fixed_points(T: AffineCso, m: int) -> list[np.ndarray]:
-    """Basis of the kernel of (I - T) on polynomials of degree <= m.
+    """Basis of the kernel of (I - T) on polynomials of degree <= m, one
+    coefficient vector per degree of poly_fp_degrees(T, m) that carries a
+    fixed point, lowest degree first.
 
-    Coefficient vectors are returned lowest degree first, scaled so the
-    highest-degree nonzero coefficient is 1.
+    T's matrix A is upper triangular with diagonal sigma_r = sum_i a_i s_i^r,
+    so each degree d with sigma_d = 1 gives one candidate v: v[d] = 1, zeros
+    above d and at the lower degrees, and the other entries below d by
+    back_substitute.  The rows of the lower degrees are then equations v
+    must still meet: v is kept only if ||(I - A_d) v||_inf <= REL_TOL
+    (1 + ||A_d||_inf) ||v||_inf, A_d the leading (d+1) x (d+1) block.  A
+    Jordan chain fails that test.  The scale is the block's, not a row's:
+    where the maps share a fixed point, an entry such as A[0, 1] =
+    sum_i a_i t_i is rounding noise, and so would a row's scale be.
+    Zeros at a lower degree lose nothing when that degree carries a fixed
+    point of its own, which can be subtracted.
     """
     if m < 0:
         raise PreconditionError("degree bound must be >= 0")
-    A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
+    A = operator_matrix(T, m + 1)
     finite = np.isfinite(A).all(axis=0)
     if not finite.all():
         raise PreconditionError(
             f"operator matrix overflows float64 at degree {np.argmin(finite)}")
-    _, sv, vh = np.linalg.svd(A)
-    cut = SVD_TOL * max(1.0, sv[0] if sv.size else 1.0)
+    degrees = poly_fp_degrees(T, m).degrees
     basis = []
-    for k in range(m, -1, -1):
-        if sv[k] <= cut:
-            v = vh[k].conj()
-            # SVD rounding leaves entries of order eps * sv[0] above the true
-            # degree, so the leading entry is judged relative to the vector
-            lead = np.max(np.nonzero(np.abs(v) > 1e-9 * np.abs(v).max())[0])
-            basis.append(v / v[lead])
-        else:
-            break
-    basis.reverse()
+    for d in degrees:
+        keep = np.setdiff1d(np.arange(d), degrees)
+        v = np.zeros(m + 1, dtype=complex)
+        v[d] = 1.0
+        v[keep] = back_substitute(A[np.ix_(keep, keep)], A[keep, d])
+        A_d = A[: d + 1, : d + 1]
+        residual = np.abs(v[: d + 1] - A_d @ v[: d + 1]).max()
+        scale = 1.0 + np.abs(A_d).sum(axis=1).max()
+        if residual <= REL_TOL * scale * np.abs(v).max():
+            basis.append(v)
     return basis
 
 

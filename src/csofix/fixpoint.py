@@ -13,7 +13,8 @@ regular correction:
                    the first m coefficients.
 
 The operator matrix A is upper triangular, so every correction solve
-(I - A) u = q is a blocked back substitution (_back_substitute).
+(I - A) u = q is a blocked back substitution (cso.back_substitute, the
+package's one solver of I - A, which cso.poly_fixed_points shares).
 
 All three end in one correction step: f* = g - u from a stabilized g, its
 T g and the correction u (u = -p on the derivative route).  T is linear, so
@@ -37,6 +38,7 @@ from .cso import (
     AffineCso,
     apply_series,
     apply_singular,
+    back_substitute,
     certified_contraction_rate,
     check_image_discs,
     fixed_point_independence,
@@ -63,7 +65,6 @@ from .singular import (
 )
 
 MAX_ITER = 50_000  # neumann_inverse iterations before exit 3
-BLOCK = 32  # columns per block of the back substitution
 MAX_TRUNCATION = 4096  # coefficients; the N x N matrix is 16 N^2 B, 256 MiB here
 K_MAX = 8  # stabilization steps before the generalized route gives up
 
@@ -150,31 +151,12 @@ def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSe
         f"(rate {K:.6f}, last increment {float(np.abs(term) @ rpow) + tail:.3e})")
 
 
-def _back_substitute(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with (I - A) x = b, A upper triangular with no diagonal entry 1.
-
-    From the last block of BLOCK columns up: move the columns of the blocks
-    already solved to the right-hand side, then solve with the block's own
-    diagonal block of I - A.  Partial pivoting never swaps rows of an
-    upper-triangular matrix, so each block solve is a back substitution,
-    which is componentwise backward stable (Higham, Accuracy and Stability
-    of Numerical Algorithms, Thm 8.5).  Only the diagonal blocks of I - A
-    are formed."""
-    n = b.size
-    x = np.empty(n, dtype=complex)
-    for lo in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
-        hi = min(lo + BLOCK, n)
-        rhs = b[lo:hi] if hi == n else b[lo:hi] + A[lo:hi, hi:] @ x[hi:]
-        x[lo:hi] = np.linalg.solve(np.eye(hi - lo, dtype=complex) - A[lo:hi, lo:hi], rhs)
-    return x
-
-
 def _solve(T: AffineCso, q: DiscSeries, R: float, A: np.ndarray) -> DiscSeries:
     """u = (I - T)^-1 q on D_R by back substitution on the leading block
     of A.  T maps polynomials of degree < n to themselves, so the truncated
     system is exact, and the dropped tail of q costs at most tail/(1 - K)."""
     K = _contraction_rate(T, R)
-    u = _back_substitute(operator_block(T, A, q.coeffs.size), q.coeffs)
+    u = back_substitute(operator_block(T, A, q.coeffs.size), q.coeffs)
     return DiscSeries(R, u, q.tail_bound / (1.0 - K))
 
 
@@ -300,7 +282,7 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     # u = -p, p the degree < m polynomial with (I - A) p = T h - h on the
     # first m coefficients; A is upper triangular, so (I - A) p has degree < m
     q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
-    p = _back_substitute(A[:m, :m], np.pad(q.coeffs, (0, m))[:m])
+    p = back_substitute(A[:m, :m], np.pad(q.coeffs, (0, m))[:m])
     fstar, residual = _correct(T, h, Th, DiscSeries(R, -p), A, tol)
     return FixedPointResult(fstar, residual, f"derivative({m})")
 

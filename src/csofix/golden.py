@@ -272,7 +272,7 @@ def default_figure_grid() -> np.ndarray:
 
 def sfs_spectrum(n: int) -> tuple[list[list[Fraction]], np.ndarray]:
     """Exact matrix of T c(x) = c((x-1)/2) - c((1-x)/2) on monomials up to
-    x^{2n-1}, plus its eigenvalues.
+    x^{2n-1}, plus its eigenvalues, the diagonal, largest first.
 
     T x^m = 2^{1-m} (x-1)^m for odd m and 0 for even m, so the matrix is
     upper triangular with diagonal (0, 1, 0, 1/4, 0, 1/16, ...).
@@ -285,9 +285,8 @@ def sfs_spectrum(n: int) -> tuple[list[list[Fraction]], np.ndarray]:
         lead = Fraction(1, 2 ** (m - 1))
         for r in range(m + 1):
             A[r][m] = lead * math.comb(m, r) * (-1) ** (m - r)
-    eig = np.linalg.eigvals(np.array(A, dtype=float))
-    order = np.argsort(-eig.real)
-    return A, eig[order]
+    eig = np.array([float(A[k][k]) for k in range(dim)])  # A is triangular
+    return A, eig[np.argsort(-eig)]
 
 
 def sfs_fixed_vector(n: int) -> list[Fraction]:

@@ -389,6 +389,23 @@ def test_polyfix_command(capsys, tmp_path):
     assert report["outputs"]["degrees"] == []
 
 
+@pytest.mark.parametrize("depth", ["40", "100"])
+def test_polyfix_ill_conditioned_operator_reports_no_basis(capsys, tmp_path, depth):
+    # f(0.5i z) + f(0.5i (z - 1) + 1): no degree, so no basis vector
+    cfg = tmp_path / "ill.json"
+    cfg.write_text(json.dumps({
+        "radius": 1.0,
+        "terms": [{"a": [1, 0], "s": [0, 0.5], "fix": [0, 0]},
+                  {"a": [1, 0], "s": [0, 0.5], "fix": [1, 0]}],
+    }))
+    code, report, _ = run_cli(capsys, "polyfix", "--config", str(cfg),
+                              "--depth", depth)
+    assert code == 0
+    out = report["outputs"]
+    assert out["degrees"] == [] and out["basis"] == []
+    assert out["kernel_residuals"]["values"] == []
+
+
 def test_polyfix_overflowing_matrix_exits_2(capsys, tmp_path):
     cfg = tmp_path / "far.json"
     cfg.write_text(json.dumps({

@@ -27,7 +27,6 @@ from csofix.cso import (
     basis_image_norm,
     basis_ratio_scan,
     certified_contraction_rate,
-    coefficient_power_sum,
     contraction_certificate,
     contraction_report,
     fixed_point_independence,
@@ -434,8 +433,9 @@ def test_poly_degree_scan():
     scan = poly_fp_degrees(half_op(), 50)
     assert scan.degrees == (1,)
     assert scan.cutoff == 2
-    assert coefficient_power_sum(golden_op(), 0) == 2.0
-    assert abs(coefficient_power_sum(golden_op(), 1) + W ** 3) < 1e-15
+    sigma = np.diag(operator_matrix(golden_op(), 2))
+    assert sigma[0] == 2.0
+    assert abs(sigma[1] + W ** 3) < 1e-15
 
 
 def linear_cutoff(T):
@@ -480,9 +480,10 @@ def test_poly_fixed_points_kernel():
     assert poly_fixed_points(golden_op(), 10) == []
 
 
-# Planted degree-5 fixed point with |a_1| = 21.7 at depth 80: SVD rounding
-# leaves null-vector entries near 1e-15 above degree 5, which an absolute
-# leading-entry threshold of 1e-14 once took for the leading coefficient.
+# Planted degree-5 fixed point with |a_1| = 21.7 at depth 80.  A kernel
+# taken from an SVD left rounding noise near 1e-15 above degree 5, and an
+# absolute leading-entry threshold of 1e-14 once took it for the leading
+# coefficient; back substitution sets every entry above the degree to 0.
 POLYFIX_PLANTED = [
     (complex(16.577256517294863, 14.017206890623617),
      complex(0.0934274538007001, -0.5322063888132952),
@@ -502,6 +503,69 @@ def test_poly_fixed_points_planted_large_coefficient():
     assert np.max(np.abs(A @ basis[0])) < 1e-10
     assert abs(basis[0][5] - 1.0) < 1e-15
     assert np.max(np.abs(basis[0][6:])) < 1e-9
+
+
+def test_poly_fixed_points_ill_conditioned_operator_has_none():
+    # f(0.5i z) + f(0.5i (z - 1) + 1): |s| + |t| = 1.62, so I - T on
+    # monomials is ill-conditioned, and no diagonal entry is 1
+    T = make_cso([(1.0, AffineMap(0.5j, 0.0)), (1.0, AffineMap(0.5j, 1.0))])
+    for m in (40, 100):
+        assert poly_fp_degrees(T, m).degrees == ()
+        assert poly_fixed_points(T, m) == []
+
+
+def planted_two_degrees(rng, c, shared):
+    """Three maps with sum_i a_i s_i^d = 1 at d = 1 and 2, all fixing c when
+    `shared`, else each fixing its own point near c."""
+    while True:
+        s = [rand_disc(rng, 0.6) for _ in range(3)]
+        a3 = rand_disc(rng, 1.0)
+        V = np.array([[s[0] ** d, s[1] ** d] for d in (1, 2)])
+        a = list(np.linalg.solve(V, [1 - a3 * s[2] ** d for d in (1, 2)])) + [a3]
+        if max(map(abs, a)) < 4.0:
+            break
+    fixes = [c] * 3 if shared else [c + rand_disc(rng, 0.2) for _ in range(3)]
+    return make_cso([(ai, AffineMap(si, zi)) for ai, si, zi in zip(a, s, fixes)])
+
+
+def test_poly_fixed_points_shared_fixed_point_two_degrees(rng):
+    # T (z - c)^k = sigma_k (z - c)^k, so z - c and (z - c)^2 + 2c (z - c)
+    # = z^2 - c^2 are fixed
+    checked = 0
+    for _ in range(40):
+        c = rand_disc(rng, 0.3)
+        T = planted_two_degrees(rng, c, shared=True)
+        m = int(rng.integers(3, 60))
+        if poly_fp_degrees(T, m).degrees != (1, 2):
+            continue
+        checked += 1
+        basis = poly_fixed_points(T, m)
+        assert len(basis) == 2
+        A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
+        for d, v in zip((1, 2), basis):
+            assert v[d] == 1.0 and not v[d + 1:].any()
+            assert np.max(np.abs(A @ v)) < 1e-12
+        assert abs(basis[0][0] + c) < 1e-12
+        assert abs(basis[1][0] + c * c) < 1e-12 and basis[1][1] == 0.0
+    assert checked >= 30
+
+
+def test_poly_fixed_points_jordan_chain_has_no_fixed_point(rng):
+    # with distinct fixed points, sigma_2 = 1 gives a Jordan chain over the
+    # degree-1 fixed point, not a second fixed point
+    checked = 0
+    for _ in range(40):
+        T = planted_two_degrees(rng, rand_disc(rng, 0.3), shared=False)
+        m = int(rng.integers(3, 60))
+        if poly_fp_degrees(T, m).degrees != (1, 2):
+            continue
+        checked += 1
+        basis = poly_fixed_points(T, m)
+        assert len(basis) == 1
+        assert basis[0][1] == 1.0 and not basis[0][2:].any()
+        A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
+        assert np.max(np.abs(A @ basis[0])) < 1e-12
+    assert checked >= 30
 
 
 def test_monomial_matrix_matches_apply(rng):

@@ -188,5 +188,5 @@ def test_pullback_keeps_pole_order(rng):
 def test_purely_regular_roundtrip():
     g = make_series([1.0, 0.5j], 2.0)
     f = purely_regular(g)
-    assert f.terms == () and f.regular == g
+    assert f.terms == () and f.regular is g
     assert unbounded_set(f) == set()

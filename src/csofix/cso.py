@@ -396,19 +396,22 @@ class PolyDegreeScan:
     cutoff: int
 
 
+def _unit_degrees(T: AffineCso, m_max: int) -> tuple[int, ...]:
+    """Degrees m <= m_max with sigma_m = sum_i a_i s_i^m = 1 within REL_TOL."""
+    power = np.ones((m_max + 1, T.ell), dtype=complex)
+    power[1:] = [mp.s for mp in T.maps]
+    np.cumprod(power, axis=0, out=power)
+    sigma = (power * np.array(T.coefficients, dtype=complex)).sum(axis=1)
+    return tuple(np.flatnonzero(
+        np.abs(sigma - 1.0) <= REL_TOL * np.maximum(1.0, np.abs(sigma))).tolist())
+
+
 def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
     """Degrees m <= m_max where sum_i a_i s_i^m = 1 holds within REL_TOL, plus the
     cutoff: the least m with sum_i |a_i||s_i|^m < 1, beyond which the relation
     can never hold again (the majorant is nonincreasing in m)."""
     if m_max < 0:
         raise PreconditionError("m_max must be >= 0")
-    # power[m, i] = s_i^m, then sigma[m] = sum_i a_i s_i^m, all m at once
-    power = np.ones((m_max + 1, T.ell), dtype=complex)
-    power[1:] = [mp.s for mp in T.maps]
-    np.cumprod(power, axis=0, out=power)
-    sigma = (power * np.array(T.coefficients, dtype=complex)).sum(axis=1)
-    degrees = np.flatnonzero(
-        np.abs(sigma - 1.0) <= REL_TOL * np.maximum(1.0, np.abs(sigma)))
     # least m with induced_norm_bound(T, m) < 1 - REL_TOL, by doubling and
     # then bisection: the bound is >= 1 - REL_TOL at lo (or lo = -1), < at hi
     lo, hi = -1, 0
@@ -417,25 +420,22 @@ def poly_fp_degrees(T: AffineCso, m_max: int) -> PolyDegreeScan:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if induced_norm_bound(T, mid) < 1.0 - REL_TOL else (mid, hi)
-    return PolyDegreeScan(tuple(degrees.tolist()), hi)
+    return PolyDegreeScan(_unit_degrees(T, m_max), hi)
 
 
 def poly_fixed_points(T: AffineCso, m: int) -> list[np.ndarray]:
-    """Basis of the kernel of (I - T) on polynomials of degree <= m, one
-    coefficient vector per degree of poly_fp_degrees(T, m) that carries a
-    fixed point, lowest degree first.
+    """Basis of the kernel of (I - T) on polynomials of degree <= m: one
+    vector v per degree d of poly_fp_degrees(T, m) that carries a fixed
+    point, lowest d first, with v[d] = 1 and zeros above d.
 
-    T's matrix A is upper triangular with diagonal sigma_r = sum_i a_i s_i^r,
-    so each degree d with sigma_d = 1 gives one candidate v: v[d] = 1, zeros
-    above d and at the lower degrees, and the other entries below d by
-    back_substitute.  The rows of the lower degrees are then equations v
-    must still meet: v is kept only if ||(I - A_d) v||_inf <= REL_TOL
-    (1 + ||A_d||_inf) ||v||_inf, A_d the leading (d+1) x (d+1) block.  A
-    Jordan chain fails that test.  The scale is the block's, not a row's:
-    where the maps share a fixed point, an entry such as A[0, 1] =
-    sum_i a_i t_i is rounding noise, and so would a row's scale be.
-    Zeros at a lower degree lose nothing when that degree carries a fixed
-    point of its own, which can be subtracted.
+    T's matrix A is upper triangular with diagonal sigma_r = sum_i a_i s_i^r.
+    back_substitute solves the rows below d but those of the lower degrees
+    r, which are equations on v: v[r] = 0 where r carries a fixed point (it
+    can be subtracted), else least squares on those rows sets it.  v is kept
+    only if ||(I - A_d) v||_inf <= REL_TOL (1 + ||A_d||_inf) ||v||_inf, A_d
+    the leading (d+1) x (d+1) block: the block's scale, since a row's, such
+    as |A[0, 1]| = |sum_i a_i t_i| for maps sharing a fixed point, can be
+    rounding noise.  A Jordan chain fails the test.
     """
     if m < 0:
         raise PreconditionError("degree bound must be >= 0")
@@ -444,18 +444,25 @@ def poly_fixed_points(T: AffineCso, m: int) -> list[np.ndarray]:
     if not finite.all():
         raise PreconditionError(
             f"operator matrix overflows float64 at degree {np.argmin(finite)}")
-    degrees = poly_fp_degrees(T, m).degrees
-    basis = []
+    degrees = _unit_degrees(T, m)
+    basis, chains = [], []  # chains: the degrees that carry no fixed point
     for d in degrees:
         keep = np.setdiff1d(np.arange(d), degrees)
-        v = np.zeros(m + 1, dtype=complex)
-        v[d] = 1.0
-        v[keep] = back_substitute(A[np.ix_(keep, keep)], A[keep, d])
         A_d = A[: d + 1, : d + 1]
-        residual = np.abs(v[: d + 1] - A_d @ v[: d + 1]).max()
-        scale = 1.0 + np.abs(A_d).sum(axis=1).max()
-        if residual <= REL_TOL * scale * np.abs(v).max():
+        # column 0 has v[d] = 1; one more column per chain degree, 1 there
+        Y = np.zeros((m + 1, 1 + len(chains)), dtype=complex)
+        for col, j in enumerate([d, *chains]):
+            Y[j, col] = 1.0
+            Y[keep, col] = back_substitute(A[np.ix_(keep, keep)], A[keep, j])
+        if chains:
+            rows = (Y[: d + 1] - A_d @ Y[: d + 1])[[r for r in degrees if r < d]]
+            Y[:, 0] += Y[:, 1:] @ np.linalg.lstsq(rows[:, 1:], -rows[:, 0], rcond=None)[0]
+        v = Y[:, 0].copy()
+        bound = REL_TOL * (1.0 + np.abs(A_d).sum(axis=1).max()) * np.abs(v).max()
+        if np.abs(v[: d + 1] - A_d @ v[: d + 1]).max() <= bound:
             basis.append(v)
+        else:
+            chains.append(d)
     return basis
 
 

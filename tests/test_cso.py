@@ -568,6 +568,55 @@ def test_poly_fixed_points_jordan_chain_has_no_fixed_point(rng):
     assert checked >= 30
 
 
+def chain_under_fixed_point(s, t12):
+    """Maps with rates s and sigma_0 = sigma_1 = sigma_2 = 1, shifts t12
+    for the first two and t_3 chosen so that A[1, 2] = 2 sum_i a_i s_i t_i
+    = 0: degree 1 is a Jordan chain over the constant, yet z^2 + x z is
+    fixed with x = -A[0, 2] / A[0, 1]."""
+    s = np.asarray(s, dtype=complex)
+    a = np.linalg.solve(np.array([s ** d for d in range(3)]), np.ones(3))
+    t = list(t12) + [-(a[0] * s[0] * t12[0] + a[1] * s[1] * t12[1]) / (a[2] * s[2])]
+    return make_cso([(ai, AffineMap(si, ti / (1 - si)))
+                     for ai, si, ti in zip(a, s, t)])
+
+
+def test_poly_fixed_points_keep_entry_at_chain_degree():
+    # all entries dyadic: A[0, 1] = -0.9375, A[0, 2] = -0.37109375, and
+    # A[1, 2] = 0 exactly
+    T = chain_under_fixed_point([0.5, -0.5, 0.25], [0.125, -0.25])
+    for m in (2, 6, 30):
+        assert poly_fp_degrees(T, m).degrees == (0, 1, 2)
+        A = np.eye(m + 1, dtype=complex) - operator_matrix(T, m + 1)
+        basis = poly_fixed_points(T, m)
+        assert len(basis) == 2
+        assert max(np.max(np.abs(A @ v)) for v in basis) < 1e-12
+        const, quad = sorted(basis, key=lambda v: np.flatnonzero(np.abs(v) > 1e-9)[-1])
+        assert not (np.abs(const[1:]) > 1e-10).any()
+        assert not (np.abs(quad[3:]) > 1e-10).any()
+        assert abs(quad[1] / quad[2] + 0.37109375 / 0.9375) < 1e-12
+
+
+def test_poly_fixed_points_chain_degree_random(rng):
+    checked = 0
+    for _ in range(160):
+        T = chain_under_fixed_point([rand_disc(rng, 0.6) for _ in range(3)],
+                                    [rand_disc(rng, 0.3) for _ in range(2)])
+        m = int(rng.integers(2, 50))
+        if (max(abs(a) for a in T.coefficients) > 4.0
+                or poly_fp_degrees(T, m).degrees != (0, 1, 2)):
+            continue
+        checked += 1
+        basis = poly_fixed_points(T, m)
+        assert len(basis) == 2
+        const, quad = basis
+        assert const[0] == 1.0 and not const[1:].any()
+        assert quad[2] == 1.0 and quad[0] == 0.0 and not quad[3:].any()
+        A = operator_matrix(T, m + 1)
+        assert abs(quad[1] + A[0, 2] / A[0, 1]) < 1e-12
+        assert np.max(np.abs(quad - A @ quad)) < 1e-12
+    assert checked >= 25
+
+
 def test_monomial_matrix_matches_apply(rng):
     for T in (golden_op(), half_op()):
         A = operator_matrix(T, 6)

@@ -202,13 +202,17 @@ def run_fixpoint(cfg: OperatorConfig, kind: str, location: complex, order: int,
     else:
         raise PreconditionError(f"unknown route {route!r}")
     f = result.fixed_point
+    coeffs = f.regular.coeffs  # c_k = b_k R^-k, which a small R can overflow
+    if not np.isfinite(coeffs).all():
+        raise PreconditionError("reported coefficient overflows float64 at degree "
+                                f"{int(np.argmin(np.isfinite(coeffs)))} on D_{R}")
     return {
         "route": str(result.route),
         "radius": R,
         "residual": {"value": result.residual_norm, "tolerance": tol},
         "terms": [{"kind": t.kind, "location": _c(t.location),
                    "weight": _c(t.weight), "order": t.order} for t in f.terms],
-        "series": {"coefficients": [_c(v) for v in f.regular.coeffs],
+        "series": {"coefficients": [_c(v) for v in coeffs],
                    "tail_bound": f.regular.tail_bound},
         "norm": {"value": l1_norm(f.regular), "tail_bound": f.regular.tail_bound},
     }

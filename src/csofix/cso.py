@@ -128,53 +128,48 @@ def _binomial_table(n: int) -> np.ndarray:
     return table
 
 
-def operator_matrix(T: AffineCso, n: int) -> np.ndarray:
-    """n x n upper-triangular matrix of T on 1, z, ..., z^{n-1}: column k
-    holds the coefficients of T z^k = sum_i a_i (s_i z + t_i)^k, that is
-    A[r, k] = C(k, r) sum_i a_i s_i^r t_i^(k-r).
+def operator_matrix(T: AffineCso, n: int, R: float = 1.0) -> np.ndarray:
+    """n x n upper-triangular matrix of T on D_R in the unit-disc chart:
+    column k holds T (z/R)^k in powers of z/R, A[r, k] = C(k, r) sum_i a_i
+    s_i^r u_i^(k-r) with u_i = t_i / R, and its l1 norm is the basis ratio
+    ||T z^k||_R / R^k.  At R = 1 it is T's matrix on 1, z, ..., z^{n-1}.
 
     Columns k < CLOSED_FORM_COLUMNS are that closed form: one term sum of
-    a_i s_i^r against a skewed view of t_i^(k-r), then a product with the
-    binomial table.  The powers are taken of s_i / rho and t_i / rho, rho
-    the power of two <= 1 nearest the largest |s_i| + |t_i|, and column k is
+    a_i s_i^r against a skewed view of u_i^(k-r), then a product with the
+    binomial table.  The powers are taken of s_i / rho and u_i / rho, rho
+    the power of two <= 1 nearest the largest |s_i| + |u_i|, and column k is
     scaled back by rho^k, both exactly: with small maps, unscaled products
-    a_i s_i^r t_i^(k-r) would underflow long before the columns do.  Later
-    columns continue the binomial recurrence (s z + t)^{k+1} =
-    (s z + t)^k * (s z + t) from each term's column 511.
+    a_i s_i^r u_i^(k-r) would underflow long before the columns do.  Later
+    columns continue the binomial recurrence (s z + u)^{k+1} =
+    (s z + u)^k * (s z + u) from each term's column 511.
     Entry [r, k] never depends on n (the powers are always taken to
     CLOSED_FORM_COLUMNS, and the term sum and the recurrence keep a fixed
     order), so a leading block of a larger matrix is the smaller matrix,
     bit for bit.
     """
-    return _conjugated_matrix(T, n, 1.0)
-
-
-def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
-    """operator_matrix of the terms a_i f(s_i z + t_i / R): T conjugated by
-    z -> R z, divided by R^k in column k.  R = 1 gives T's own matrix."""
     if n < 1:
         raise PreconditionError("matrix size must be >= 1")
     W = CLOSED_FORM_COLUMNS
     K = min(n, W)
     s = np.array([m.s for m in T.maps], dtype=complex)[:, None]
-    t = np.array([m.t for m in T.maps], dtype=complex)[:, None] / R
-    # rho = 2^e <= 1, the power of two nearest the largest |s_i| + |t_i|
+    u = np.array([m.t for m in T.maps], dtype=complex)[:, None] / R
+    # rho = 2^e <= 1, the power of two nearest the largest |s_i| + |u_i|
     reach = max(abs(m.s) + abs(m.t) / R for m in T.maps)
     e = max(-1000, round(math.log2(reach))) if 0 < reach < 1 else 0
     lead = np.empty((T.ell, W), dtype=complex)  # lead[i, r] = a_i (s_i/rho)^r
     lead[:, :1] = np.array(T.coefficients, dtype=complex)[:, None]
     lead[:, 1:] = s * 2.0 ** -e
     np.cumprod(lead, axis=1, out=lead)
-    tpow = np.zeros((T.ell, 2 * W - 1), dtype=complex)  # (t_i/rho)^j at [i, W-1+j]
-    tpow[:, W - 1] = 1.0
-    tpow[:, W:] = t * 2.0 ** -e
-    # with |t_i| > 4 the powers overflow before j = 511, mostly past the
+    upow = np.zeros((T.ell, 2 * W - 1), dtype=complex)  # (u_i/rho)^j at [i, W-1+j]
+    upow[:, W - 1] = 1.0
+    upow[:, W:] = u * 2.0 ** -e
+    # with |u_i| > 4 the powers overflow before j = 511, mostly past the
     # columns in use; a column in use that overflows is not finite, so the
     # certificate does not certify and a solve stops with exit 2
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(tpow[:, W - 1:], axis=1, out=tpow[:, W - 1:])
-    # skew[i, r, k] = (t_i/rho)^(k-r), zero below the diagonal
-    skew = sliding_window_view(tpow[:, W - K : W - 1 + K], K, axis=1)[:, ::-1, :]
+        np.cumprod(upow[:, W - 1:], axis=1, out=upow[:, W - 1:])
+    # skew[i, r, k] = (u_i/rho)^(k-r), zero below the diagonal
+    skew = sliding_window_view(upow[:, W - K : W - 1 + K], K, axis=1)[:, ::-1, :]
     A = np.zeros((n, n), dtype=complex)
     block = A[:K, :K]
     np.einsum("ir,irk->rk", lead[:, :K], skew, out=block)
@@ -187,12 +182,12 @@ def _conjugated_matrix(T: AffineCso, n: int, R: float) -> np.ndarray:
         block.real *= rho_k
         block.imag *= rho_k
     if n > W:
-        rows = np.zeros((T.ell, n), dtype=complex)  # row i: a_i (s_i z + t_i)^k
+        rows = np.zeros((T.ell, n), dtype=complex)  # row i: a_i (s_i z + u_i)^k
         rows[:, :W] = (lead * skew[:, :, W - 1] * binom[:, W - 1]
                        * math.ldexp(1.0, e * (W - 1)))
         for k in range(W, n):
-            rows[:, 1 : k + 1] = t * rows[:, 1 : k + 1] + s * rows[:, :k]
-            rows[:, 0] *= t[:, 0]
+            rows[:, 1 : k + 1] = u * rows[:, 1 : k + 1] + s * rows[:, :k]
+            rows[:, 0] *= u[:, 0]
             A[: k + 1, k] = rows[:, : k + 1].sum(axis=0)
     return A
 
@@ -216,45 +211,32 @@ def back_substitute(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def operator_block(T: AffineCso, matrix: Optional[np.ndarray], n: int) -> np.ndarray:
-    """operator_matrix(T, n): the leading n x n block of `matrix`, a larger
-    operator_matrix of T, when one is given, else a fresh build.  The block
-    is exact, because no entry of operator_matrix depends on its size."""
+def check_image_discs(T: AffineCso, R: float) -> None:
+    """Require every image disc of D_R strictly inside D_R, |s_i| R + |t_i| < R."""
+    for m in T.maps:
+        reach = abs(m.s) * R + abs(m.t)
+        if reach >= R:
+            raise PreconditionError(
+                f"image disc escapes domain: |s|*r+|t| = {reach:.6g} >= {R:.6g}")
+
+
+def apply_series(T: AffineCso, f: DiscSeries,
+                 matrix: Optional[np.ndarray] = None) -> DiscSeries:
+    """T f on f's disc D_R: one product with the leading block of `matrix`,
+    a larger operator_matrix of T at R (exact, as no entry depends on the
+    size, so a caller applying T repeatedly builds it once), else a fresh
+    build.  Requires every image disc strictly inside D_R (check_image_discs);
+    then no composition increases the l1 norm, so sum_i |a_i| * f.tail_bound
+    bounds the discarded tail."""
+    n = len(f.scaled)
+    check_image_discs(T, f.radius)
     if matrix is None:
-        return operator_matrix(T, n)
-    if matrix.shape[0] < n:
+        matrix = operator_matrix(T, n, f.radius)
+    elif matrix.shape[0] < n:
         raise PreconditionError(
             f"operator matrix of size {matrix.shape[0]} is smaller than the series ({n})")
-    return matrix[:n, :n]
-
-
-def check_image_discs(T: AffineCso, out_radius: float, radius: float) -> None:
-    """Require every image disc strictly inside the domain disc,
-    |s_i| * out_radius + |t_i| < radius."""
-    for m in T.maps:
-        reach = abs(m.s) * out_radius + abs(m.t)
-        if reach >= radius:
-            raise PreconditionError(
-                f"image disc escapes domain: |s|*r+|t| = {reach:.6g} >= {radius:.6g}")
-
-
-def apply_series(T: AffineCso, f: DiscSeries, out_radius: float,
-                 matrix: Optional[np.ndarray] = None) -> DiscSeries:
-    """T f on D_{out_radius}: one product with operator_block(T, matrix,
-    len(f.coeffs)); a caller applying T repeatedly builds the matrix once,
-    at the largest length it needs, and passes it in.
-
-    Requires every image disc strictly inside the domain disc (see
-    check_image_discs).  Then no composition increases the l1 norm, so
-    sum_i |a_i| * f.tail_bound bounds the discarded tail.
-    """
-    out_radius = float(out_radius)
-    if out_radius <= 0.0:
-        raise PreconditionError("out_radius must be positive")
-    check_image_discs(T, out_radius, f.radius)
-    A = operator_block(T, matrix, len(f.coeffs))
     tail = sum(abs(a) * f.tail_bound for a in T.coefficients)
-    return DiscSeries(out_radius, A @ f.coeffs, tail)
+    return DiscSeries(f.radius, matrix[:n, :n] @ f.scaled, tail)
 
 
 def apply_singular(
@@ -266,7 +248,8 @@ def apply_singular(
     matrix: Optional[np.ndarray] = None,
 ) -> SingularFunction:
     """Sum of pullbacks of every singular term through every map, plus the
-    regular part pushed through apply_series (with `matrix`, if given).
+    regular part pushed through apply_series (with `matrix`, if given,
+    built at f's radius).
 
     By default the unbounded set must be simple under T.  With `relocate`
     that gate is skipped and interior preimages are relocated; it is meant
@@ -280,7 +263,7 @@ def apply_singular(
             raise NonSimpleConfigurationError(
                 f"singular set not simple under operator: {bad[0].reason}")
     weighted: list[tuple[complex, SingularTerm]] = []
-    regular_parts = [(1.0, apply_series(T, f.regular, R, matrix))]
+    regular_parts = [(1.0, apply_series(T, f.regular, matrix))]
     for a, m in T.terms:
         for term in f.terms:
             pb = pullback_term(term, m, R, relocate=relocate, n_terms=n_terms)
@@ -314,16 +297,16 @@ def analytic_ratio_bound(T: AffineCso, n: int, R: float) -> float:
 
 
 def basis_ratio_scan(T: AffineCso, R: float, n_max: int) -> np.ndarray:
-    """||T z^n||_R / R^n for n = 0..n_max.  Conjugating by z -> R z turns
-    T z^n on D_R into R^n times the same terms with shifts t_i / R on the
-    unit disc, so the ratios are the plain column l1 norms of that
-    operator's matrix.  No power of R is formed, so no weight overflows,
-    however large or small R is.  Matches basis_image_norm pointwise."""
+    """||T z^n||_R / R^n for n = 0..n_max: the column l1 norms of
+    operator_matrix(T, n_max + 1, R), T's matrix in the unit-disc chart of
+    D_R, the one a solve on D_R applies.  No power of R is formed, so no
+    ratio overflows, however large or small R is.  Matches
+    basis_image_norm pointwise."""
     # t_i / R overflows at a subnormal R, and an overflowed power of t_i / R
     # times a structural zero is nan: that norm is inf.  Ratios that are not
     # finite never certify
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.abs(_conjugated_matrix(T, n_max + 1, float(R))).sum(axis=0)
+        ratios = np.abs(operator_matrix(T, n_max + 1, float(R))).sum(axis=0)
     return np.where(np.isnan(ratios), np.inf, ratios)
 
 

@@ -12,7 +12,9 @@ regular correction:
                    the degree < m polynomial p with (I - T) p = T h - h on
                    the first m coefficients.
 
-The operator matrix A is upper triangular, so every correction solve
+The operator matrix A = operator_matrix(T, n, R) acts in the unit-disc
+chart of D_R that every series is kept in (see series), so no power of R
+is formed.  It is upper triangular, so every correction solve
 (I - A) u = q is a blocked back substitution (cso.back_substitute, the
 package's one solver of I - A, which cso.poly_fixed_points shares).
 
@@ -43,7 +45,6 @@ from .cso import (
     check_image_discs,
     fixed_point_independence,
     induced_m,
-    operator_block,
     operator_matrix,
     poly_fp_degrees,
     seed_admissibility,
@@ -86,24 +87,14 @@ def make_seed(T: AffineCso, term: SingularTerm) -> SingularTerm:
     return term
 
 
-def _weights(R: float, n: int, tol: float) -> np.ndarray:
-    """The l1 weights R^k, k < n, of a series on D_R, checked with tol
-    before any matrix is built: a tol that is not positive and finite is
-    never met or cannot be reported, an n above MAX_TRUNCATION would
-    allocate too much, and an R^k that overflows would make every norm
-    0 * inf = nan, so no loop could stop."""
+def _check_request(n: int, tol: float) -> None:
+    """Before any matrix is built: a tol that is not positive and finite is
+    never met or cannot be reported, an n above MAX_TRUNCATION too large."""
     if not 0.0 < tol < math.inf:
         raise PreconditionError("tolerance must be positive and finite")
     if n > MAX_TRUNCATION:
         raise PreconditionError(
             f"truncation N exceeds the cap of {MAX_TRUNCATION} coefficients")
-    with np.errstate(over="ignore"):
-        rpow = R ** np.arange(n, dtype=float)
-    if not np.isfinite(rpow[-1]):
-        raise PreconditionError(
-            f"truncation N={n} is too long for D_{R}: R^n overflows "
-            f"for n >= {int(np.argmax(np.isinf(rpow)))}")
-    return rpow
 
 
 def _contraction_rate(T: AffineCso, R: float) -> float:
@@ -113,7 +104,7 @@ def _contraction_rate(T: AffineCso, R: float) -> float:
     K = certified_contraction_rate(T, R)
     if not K < 1.0:
         raise PreconditionError(f"operator does not contract on D_{R} (rate {K})")
-    check_image_discs(T, R, R)
+    check_image_discs(T, R)
     return K
 
 
@@ -125,19 +116,19 @@ def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSe
     Exit 3 after MAX_ITER terms.  The routes solve by back substitution
     instead; this sum is the independent reference they are tested against.
     """
-    rpow = _weights(R, g.coeffs.size, tol)
+    _check_request(g.scaled.size, tol)
     # increment slack is tightened to K times the previous slack, which the
     # certified rate justifies; the raw per-term bound compounds by sum|a_i|
     K = _contraction_rate(T, R)
     stop = tol * (1.0 - K)
     # the loop runs on raw arrays and keeps the finiteness check a
     # DiscSeries makes of each new term
-    A = operator_block(T, None, g.coeffs.size)
-    term, tail = g.coeffs, g.tail_bound
+    A = operator_matrix(T, g.scaled.size, R)
+    term, tail = g.scaled, g.tail_bound
     total = np.zeros(term.size, dtype=complex)
     total_tail = 0.0
     for n in range(MAX_ITER):
-        if float(np.abs(term) @ rpow) + tail < stop:
+        if float(np.abs(term).sum()) + tail < stop:
             # nothing summed at n = 0: the one-coefficient zero series
             return DiscSeries(R, total if n else total[:1], total_tail)
         total += term
@@ -148,7 +139,7 @@ def neumann_inverse(T: AffineCso, g: DiscSeries, R: float, tol: float) -> DiscSe
         tail = K * tail
     raise ConvergenceError(
         f"Neumann series did not reach {tol} in {MAX_ITER} iterations "
-        f"(rate {K:.6f}, last increment {float(np.abs(term) @ rpow) + tail:.3e})")
+        f"(rate {K:.6f}, last increment {float(np.abs(term).sum()) + tail:.3e})")
 
 
 def _solve(T: AffineCso, q: DiscSeries, R: float, A: np.ndarray) -> DiscSeries:
@@ -156,7 +147,7 @@ def _solve(T: AffineCso, q: DiscSeries, R: float, A: np.ndarray) -> DiscSeries:
     of A.  T maps polynomials of degree < n to themselves, so the truncated
     system is exact, and the dropped tail of q costs at most tail/(1 - K)."""
     K = _contraction_rate(T, R)
-    u = back_substitute(operator_block(T, A, q.coeffs.size), q.coeffs)
+    u = back_substitute(A[: q.scaled.size, : q.scaled.size], q.scaled)
     return DiscSeries(R, u, q.tail_bound / (1.0 - K))
 
 
@@ -168,13 +159,13 @@ def _term_diff(a: SingularFunction, b: SingularFunction) -> tuple:
 
 def _solve_matrix(T: AffineCso, f: SingularFunction, n_terms: int,
                   tol: float) -> np.ndarray:
-    """operator_matrix of T at the largest length a solve from f meets:
-    pullbacks expand to max(n_terms, 2) coefficients and T never lengthens a
-    series, so every application in the solve uses a leading block.  tol
-    and the weights at that length are checked first."""
-    n = max(int(n_terms), 2, f.regular.coeffs.size)
-    _weights(f.radius, n, tol)
-    return operator_matrix(T, n)
+    """operator_matrix of T on f's disc at the largest length a solve from f
+    meets: pullbacks expand to max(n_terms, 2) coefficients and T never
+    lengthens a series, so every application in the solve uses a leading
+    block.  tol and that length are checked first."""
+    n = max(int(n_terms), 2, f.regular.scaled.size)
+    _check_request(n, tol)
+    return operator_matrix(T, n, f.radius)
 
 
 def _stabilize(T: AffineCso, g: SingularFunction, A: np.ndarray, relocate: bool,
@@ -204,7 +195,7 @@ def _correct(T: AffineCso, g: SingularFunction, Tg: SingularFunction,
     < tol or exit 3.  T is linear and T g keeps the singular terms of g, so
     T f* - f* = (T g - g) - (A u - u) is read from the last T g; T is never
     applied to f* itself."""
-    Au = apply_series(T, u, g.radius, A)
+    Au = apply_series(T, u, A)
     residual = l1_norm(linear_combine([(1.0, Tg.regular), (-1.0, g.regular),
                                        (-1.0, Au), (1.0, u)]))
     if not residual < tol:
@@ -282,7 +273,7 @@ def derivative_route_fixed_point(T: AffineCso, i: int, m: int, R: float, tol: fl
     # u = -p, p the degree < m polynomial with (I - A) p = T h - h on the
     # first m coefficients; A is upper triangular, so (I - A) p has degree < m
     q = linear_combine([(1.0, Th.regular), (-1.0, h.regular)])
-    p = back_substitute(A[:m, :m], np.pad(q.coeffs, (0, m))[:m])
+    p = back_substitute(A[:m, :m], np.pad(q.scaled, (0, m))[:m])
     fstar, residual = _correct(T, h, Th, DiscSeries(R, -p), A, tol)
     return FixedPointResult(fstar, residual, f"derivative({m})")
 

@@ -138,22 +138,23 @@ def _inverse_power_series(a: complex, b: complex, k: int, radius: float,
                           n_terms: int = DEFAULT_TRUNCATION) -> DiscSeries:
     """Series of (a + b z)^{-k} on D_radius, with a rigorous geometric tail.
 
-    Needs |b| * radius < |a|.  Coefficients a^{-k} C(n+k-1, k-1) (-b/a)^n.
+    Needs |b| * radius < |a|.  Chart coefficients a^{-k} C(n+k-1, k-1) q^n,
+    q = -(b/a) radius, |q| < 1.
     """
     if abs(b) * radius >= abs(a):
         raise PreconditionError("inverse power singularity inside closed disc")
     if b == 0:
         return make_series([a ** (-k)], radius)
-    q = -b / a
+    q = -b / a * radius
     lead = a ** (-complex(k))
     n_terms = max(int(n_terms), 2)
     n = np.arange(n_terms)
     binom = np.array([math.comb(m + k - 1, k - 1) for m in n], dtype=float)
-    coeffs = lead * binom * q ** n
-    # tail: terms m_n = C(n+k-1,k-1) |q R|^n; the ratio m_{n+1}/m_n =
-    # |qR| (n+k)/(n+1) decreases in n, so once it drops below 1 the tail is
+    scaled = lead * binom * q ** n
+    # tail: terms m_n = C(n+k-1,k-1) |q|^n; the ratio m_{n+1}/m_n =
+    # |q| (n+k)/(n+1) decreases in n, so once it drops below 1 the tail is
     # geometric.  Extend the index until that happens.
-    qr = abs(q) * radius
+    qr = abs(q)
     m = n_terms
     mag = binom[-1] * qr ** (n_terms - 1)
     extra = 0.0
@@ -167,7 +168,7 @@ def _inverse_power_series(a: complex, b: complex, k: int, radius: float,
         m += 1
         if m > 10 * n_terms + 10000:
             raise PreconditionError("inverse power tail does not certify; radius too close")
-    return DiscSeries(radius, coeffs, abs(lead) * tail)
+    return DiscSeries(radius, scaled, abs(lead) * tail)
 
 
 def pullback_term(

@@ -193,9 +193,9 @@ def _suite_linearity(rng, trials):
         g = random_poly(rng, 1.0, 5)
         lam, mu = rand_disc(rng, 2.0), rand_disc(rng, 2.0)
         combo = linear_combine([(lam, f), (mu, g)])
-        lhs = apply_series(T, combo, 1.0)
-        rhs = linear_combine([(lam, apply_series(T, f, 1.0)),
-                              (mu, apply_series(T, g, 1.0))])
+        lhs = apply_series(T, combo)
+        rhs = linear_combine([(lam, apply_series(T, f)),
+                              (mu, apply_series(T, g))])
         scale = 1.0 + l1_norm(lhs)
         diff = l1_norm(linear_combine([(1.0, lhs), (-1.0, rhs)]))
         assert diff < 1e-12 * scale
@@ -207,7 +207,7 @@ def _suite_norm_bounds(rng, trials):
         K = certified_contraction_rate(T, 1.0, 60)
         assert K < 1.0
         f = random_poly(rng, 1.0, 8)
-        assert l1_norm(apply_series(T, f, 1.0)) <= K * l1_norm(f) * (1 + 1e-9)
+        assert l1_norm(apply_series(T, f)) <= K * l1_norm(f) * (1 + 1e-9)
         n = int(rng.integers(0, 12))
         assert basis_image_norm(T, n, 1.0) <= analytic_ratio_bound(
             T, n, 1.0) * (1 + 1e-12)
@@ -219,7 +219,7 @@ def _suite_basis_criterion(rng, trials):
         d = int(rng.integers(0, 8))
         f = random_poly(rng, 1.0, d)
         bound = float(np.max(basis_ratio_scan(T, 1.0, d)))
-        assert l1_norm(apply_series(T, f, 1.0)) <= bound * l1_norm(f) * (1 + 1e-10)
+        assert l1_norm(apply_series(T, f)) <= bound * l1_norm(f) * (1 + 1e-10)
 
 
 def _suite_pinning(rng, trials):
@@ -229,8 +229,8 @@ def _suite_pinning(rng, trials):
         Tc = pinned(T, c)
         f = random_poly(rng, 1.0, 6)
         z = rand_disc(rng, 0.9)
-        tf = apply_series(T, f, 1.0)
-        pf = apply_series(Tc, f, 1.0)
+        tf = apply_series(T, f)
+        pf = apply_series(Tc, f)
         scale = 1.0 + l1_norm(tf)
         assert abs(eval_at(pf, z) - (eval_at(tf, z) - eval_at(tf, c))) < 1e-12 * scale
         assert abs(eval_at(pf, c)) < 1e-12 * scale

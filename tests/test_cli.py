@@ -253,24 +253,54 @@ def test_fixpoint_derivative_stage_names_its_tolerance(capsys):
     assert err.endswith(" above tolerance 1.7361111111111112e-16\n")
 
 
-def test_fixpoint_overflowing_weights_exit_2(capsys, tmp_path):
+def test_fixpoint_long_truncation_on_D2(capsys, tmp_path):
+    # in the unit-disc chart no power R^n is formed: N = 1100 on D_2 solves,
+    # and the reported c_k = b_k 2^-k of high degree underflow to 0
     code, report, err = run_cli(
         capsys, "fixpoint", "--config", long_golden_config(tmp_path, 1100),
         "--pin", repr(-W), "0", "--seed-location", "0", "0",
         "--route", "generalized")
-    assert code == 2 and report is None
-    assert "N=1100 is too long for D_2.0" in err
+    assert code == 0 and err == ""
+    out = report["outputs"]
+    assert out["residual"]["value"] < out["residual"]["tolerance"] == 1e-8
+    coeffs = out["series"]["coefficients"]
+    assert len(coeffs) == 1100
+    assert all(math.isfinite(x) for pair in coeffs for x in pair)
 
 
-def test_overflowing_weights_rejected_before_any_matrix(capsys, no_matrix_builds,
-                                                        tmp_path):
-    code, report, err = run_cli(
-        capsys, "fixpoint", "--config", long_golden_config(tmp_path, 1100),
-        "--pin", repr(-W), "0", "--seed-location", "0", "0",
-        "--route", "generalized")
+def rescaled_golden(tmp_path, lam: float, truncation: int = 128) -> tuple[str, list]:
+    """golden M conjugated by z -> lam z: the second fixed point at lam,
+    radius 2 lam; returns the config and the argv pinned at W lam with the
+    seed at lam."""
+    doc = json.loads(Path(GOLDEN_CFG).read_text())
+    doc["terms"][1]["fix"] = [lam, 0.0]
+    doc["radius"] = 2.0 * lam
+    doc["truncation"] = truncation
+    cfg = tmp_path / "rescaled.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg), ["--pin", repr(W * lam), "0", "--seed-location", repr(lam), "0",
+                      "--route", "generalized"]
+
+
+def test_fixpoint_rescaled_large_disc(capsys, tmp_path):
+    cfg, argv = rescaled_golden(tmp_path, 1e3)
+    code, report, err = run_cli(capsys, "fixpoint", "--config", cfg, *argv)
+    assert code == 0 and err == ""
+    out = report["outputs"]
+    assert out["radius"] == 2000.0
+    assert out["residual"]["value"] < 1e-14
+    assert math.isfinite(out["norm"]["value"])
+
+
+def test_fixpoint_rescaled_small_disc_reported_coefficient_overflows(capsys, tmp_path):
+    # the solve on D_0.002 succeeds in the chart; c_k = b_k 500^k of the
+    # report overflows float64, which exits 2 with no warning on stderr
+    cfg, argv = rescaled_golden(tmp_path, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run_cli(capsys, "fixpoint", "--config", cfg, *argv)
     assert code == 2 and report is None
-    assert err == ("error: truncation N=1100 is too long for D_2.0: "
-                   "R^n overflows for n >= 1024\n")
+    assert err == "error: reported coefficient overflows float64 at degree 121 on D_0.002\n"
 
 
 @pytest.mark.parametrize("truncation", [MAX_TRUNCATION + 1, 10 ** 400])

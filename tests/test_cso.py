@@ -93,9 +93,9 @@ def test_make_cso_validation():
 
 def test_apply_series_on_basis():
     T = golden_op()
-    out = apply_series(T, monomial(0, 2.0), 2.0)
+    out = apply_series(T, monomial(0, 2.0))
     assert np.array_equal(out.coeffs, [2.0])
-    out = apply_series(T, monomial(1, 2.0), 2.0)
+    out = apply_series(T, monomial(1, 2.0))
     assert np.allclose(out.coeffs, [complex(PHI2.t), W * W - W], rtol=1e-15)
 
 
@@ -107,10 +107,10 @@ def test_apply_series_is_linear(rng):
         lam = rand_disc(rng, 2.0)
         lhs = apply_series(T, make_series(
             lam * f.coeffs + np.pad(g.coeffs, (0, len(f.coeffs) - len(g.coeffs))),
-            2.0), 2.0)
+            2.0))
         from csofix.series import linear_combine
-        rhs = linear_combine([(lam, apply_series(T, f, 2.0)),
-                              (1.0, apply_series(T, g, 2.0))])
+        rhs = linear_combine([(lam, apply_series(T, f)),
+                              (1.0, apply_series(T, g))])
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
@@ -227,7 +227,7 @@ def test_binomial_table_grows_safely_from_threads(monkeypatch, rng):
 def test_apply_series_evaluates_sum_of_compositions(rng, n):
     T = random_operator(rng, 4)
     f = with_tail(random_poly(rng, 1.0, n - 1), 3e-7)
-    out = apply_series(T, f, 1.0)
+    out = apply_series(T, f)
     assert out.radius == 1.0 and len(out.coeffs) == n
     assert out.tail_bound == sum(abs(a) * f.tail_bound for a in T.coefficients)
     for _ in range(5):
@@ -244,7 +244,7 @@ def test_apply_series_with_oversized_matrix_is_exact(rng, n):
     f = with_tail(random_poly(rng, 1.0, n - 1), 3e-7)
     big = operator_matrix(T, 200)
     assert np.array_equal(big[:n, :n], operator_matrix(T, n))
-    sliced, fresh = apply_series(T, f, 1.0, big), apply_series(T, f, 1.0)
+    sliced, fresh = apply_series(T, f, big), apply_series(T, f)
     assert sliced.coeffs.tobytes() == fresh.coeffs.tobytes()
     assert sliced.tail_bound == fresh.tail_bound
 
@@ -252,13 +252,13 @@ def test_apply_series_with_oversized_matrix_is_exact(rng, n):
 def test_apply_series_rejects_undersized_matrix(rng):
     T = random_operator(rng, 3)
     with pytest.raises(PreconditionError, match="smaller than the series"):
-        apply_series(T, random_poly(rng, 1.0, 9), 1.0, operator_matrix(T, 9))
+        apply_series(T, random_poly(rng, 1.0, 9), operator_matrix(T, 9))
 
 
 def test_apply_rejects_escaping_image():
     T = golden_op()  # |w^2| r + w >= r for r <= 1
     with pytest.raises(PreconditionError, match="image disc escapes domain"):
-        apply_series(T, monomial(3, 0.9), 0.9)
+        apply_series(T, monomial(3, 0.9))
     with pytest.raises(PreconditionError, match="image disc escapes domain"):
         apply_singular(T, SingularFunction([], monomial(3, 0.9)))
 
@@ -381,7 +381,7 @@ def test_certified_rate_is_operator_norm_bound(rng):
         T = random_tame_cso(rng)
         K = certified_contraction_rate(T, 1.0, 60)
         f = random_poly(rng, 1.0, 8)
-        assert l1_norm(apply_series(T, f, 1.0)) <= K * l1_norm(f) * (1 + 1e-9)
+        assert l1_norm(apply_series(T, f)) <= K * l1_norm(f) * (1 + 1e-9)
 
 
 def test_pinned_structure_and_action():
@@ -391,8 +391,8 @@ def test_pinned_structure_and_action():
     assert Tc.coefficients == (1.0, 1.0, -1.0, -1.0)
     assert Tc.maps[2] == AffineMap(0.0, PHI1(W))
     assert Tc.maps[3] == AffineMap(0.0, PHI2(W))
-    assert l1_norm(apply_series(Tc, monomial(0, 2.0), 2.0)) == 0.0
-    out = apply_series(Tc, monomial(1, 2.0), 2.0)
+    assert l1_norm(apply_series(Tc, monomial(0, 2.0))) == 0.0
+    out = apply_series(Tc, monomial(1, 2.0))
     assert np.allclose(out.coeffs, [W ** 4, -W ** 3], rtol=1e-12)
 
 
@@ -403,10 +403,10 @@ def test_pinned_evaluation_identity(rng):
         Tc = pinned(T, c)
         f = random_poly(rng, 1.0, 6)
         z = rand_disc(rng, 0.9)
-        tf = apply_series(T, f, 1.0)
-        got = eval_at(apply_series(Tc, f, 1.0), z)
+        tf = apply_series(T, f)
+        got = eval_at(apply_series(Tc, f), z)
         assert abs(got - (eval_at(tf, z) - eval_at(tf, c))) < 1e-12
-        assert abs(eval_at(apply_series(Tc, f, 1.0), c)) < 1e-12
+        assert abs(eval_at(apply_series(Tc, f), c)) < 1e-12
 
 
 def test_projection_matches_pinning():
@@ -623,7 +623,7 @@ def test_monomial_matrix_matches_apply(rng):
         assert np.allclose(A, np.triu(A))
         for _ in range(10):
             f = random_poly(rng, 2.0, 5)
-            direct = apply_series(T, f, 2.0)
+            direct = apply_series(T, f)
             via = A @ f.coeffs
             assert np.allclose(direct.coeffs, via, atol=1e-12)
 
@@ -645,8 +645,8 @@ def test_induced_commutes_with_derivative(rng):
     for _ in range(30):
         T = random_tame_cso(rng)
         f = random_poly(rng, 1.0, 7)
-        lhs = differentiate(apply_series(T, f, 1.0))
-        rhs = apply_series(induced_m(T, 1), differentiate(f), 1.0)
+        lhs = differentiate(apply_series(T, f))
+        rhs = apply_series(induced_m(T, 1), differentiate(f))
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-11)
 
 
